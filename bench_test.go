@@ -457,8 +457,9 @@ func BenchmarkE16ConsultAndRun(b *testing.B) {
 // BenchmarkE17JoinPlan measures the cost-based join planner (DESIGN.md
 // §5.10) on a cross-product-prone 3-literal rule: the written order joins
 // big1 × big2 (quadratic) before link constrains anything; the planned
-// order drives the join through link (linear). "off" is the pre-planner
-// written-order behavior, "on" the default.
+// order drives the join through link (linear). The written-order arm went
+// with the planner's switch (EXPERIMENTS.md E17 keeps its numbers; the
+// deterministic gate is engine.TestPlannerFasterOnCrossProduct).
 func BenchmarkE17JoinPlan(b *testing.B) {
 	var facts string
 	n := 180
@@ -475,21 +476,9 @@ export q(ff).
 q(X, W) :- big1(X, Y), big2(Z, W), link(Y, Z).
 end_module.
 `
-	for _, mode := range []struct {
-		name     string
-		planning bool
-	}{
-		{"off", false},
-		{"on", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys := benchSystem(b, facts+mod)
-				sys.JoinPlanning = mode.planning
-				benchCall(b, sys, "q", term.NewVar("X"), term.NewVar("W"))
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchCall(b, benchSystem(b, facts+mod), "q", term.NewVar("X"), term.NewVar("W"))
 	}
 }
 
@@ -601,10 +590,10 @@ func BenchmarkAblationDuplicateCheck(b *testing.B) {
 // BenchmarkE19FlowOptimization prices the whole-program flow analysis'
 // optimizations on an all-free transitive closure (DESIGN.md §5.12): with
 // the analysis on, every reachable context calls tc free-free, so magic
-// rewriting is skipped and the pruned original rules evaluate directly;
-// off reproduces the pre-analysis compilation (magic filter admitting
-// everything). The module also carries a dead mutual-recursion cycle the
-// analysis prunes.
+// rewriting is skipped and the pruned original rules evaluate directly.
+// The module also carries a dead mutual-recursion cycle the analysis
+// prunes. (The pre-analysis arm went with the optimizations' switch;
+// EXPERIMENTS.md E19 keeps its numbers.)
 func BenchmarkE19FlowOptimization(b *testing.B) {
 	facts := workload.RandomGraph(96, 240, 1)
 	mod := `
@@ -616,47 +605,21 @@ dead(X, Y) :- deader(X, Y), tc(X, Y).
 deader(X, Y) :- dead(X, Y).
 end_module.
 `
-	u, err := parser.Parse(facts + mod)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		flow bool
-	}{
-		{"off", false},
-		{"on", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// FlowOptimization must be set before AddModule: the
-				// per-form programs are compiled and cached there.
-				sys := engine.NewSystem()
-				sys.FlowOptimization = mode.flow
-				for _, f := range u.Facts {
-					benchBase(b, sys, f.Pred, len(f.Args)).Insert(relation.NewFact(f.Args, nil))
-				}
-				for _, m := range u.Modules {
-					if err := sys.AddModule(m); err != nil {
-						b.Fatal(err)
-					}
-				}
-				benchCall(b, sys, "tc", term.NewVar("X"), term.NewVar("Y"))
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchCall(b, benchSystem(b, facts+mod), "tc", term.NewVar("X"), term.NewVar("Y"))
 	}
 }
 
 // BenchmarkE20ColdStartPlan prices planner cold-start seeding (DESIGN.md
 // §5.13) on a rule whose only selective literal is a module-call export:
 // q joins two unrelated base relations with ok/2, a tiny export that
-// keeps no live statistics. The cold planner without seeding prices ok/2
-// at the unknown-source default (2^20 rows) and schedules it last — a
-// big1 × big2 cross product probed through the module boundary. Seeding
-// prices ok/2 from the callee's static estimate (an exact passthrough of
-// linkbase/2, whose live count is known), so the very first plan drives
-// the join from it.
+// keeps no live statistics. A cold planner without the static estimate
+// would price ok/2 at the unknown-source default (2^20 rows) and schedule
+// it last — a big1 × big2 cross product probed through the module boundary
+// (EXPERIMENTS.md E20 keeps that arm's numbers). Seeding prices ok/2 from
+// the callee's static estimate (an exact passthrough of linkbase/2, whose
+// live count is known), so the very first plan drives the join from it.
 func BenchmarkE20ColdStartPlan(b *testing.B) {
 	var facts string
 	n := 180
@@ -677,82 +640,48 @@ export q(ff).
 q(X, W) :- big1(X, Y), big2(Z, W), ok(Y, Z).
 end_module.
 `
-	for _, mode := range []struct {
-		name    string
-		seeding bool
-	}{
-		{"unseeded", false},
-		{"seeded", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys := benchSystem(b, facts+mods)
-				sys.StaticSeeding = mode.seeding
-				benchCall(b, sys, "q", term.NewVar("X"), term.NewVar("W"))
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchCall(b, benchSystem(b, facts+mods), "q", term.NewVar("X"), term.NewVar("W"))
 	}
 }
 
-// BenchmarkE21HashJoin compares nested-loops and hash access paths on
-// transitive closures dense enough for the planner to adopt the hash mark
-// (the deterministic gate is engine.TestPlannerPicksHashJoin). The
-// right-linear rule exercises the generic build/probe path through
-// lookupFor — every delta tuple probes the full base relation; the
-// doubly recursive rule routes through the symmetric delta fast path.
-// @no_indexing isolates the comparison: without it the optimizer plants a
-// persistent argIndex and both paths enumerate the same candidates.
+// BenchmarkE21HashJoin runs transitive closures dense enough for the
+// planner to adopt the hash mark (the deterministic gate is
+// engine.TestPlannerPicksHashJoin) with and without the optimizer's
+// persistent indexes: under @no_indexing a build table is the only keyed
+// access there is, which is where hash marks pay; with indexes the two
+// access paths enumerate the same candidates and the mark is near neutral
+// (EXPERIMENTS.md E21, E24). The right-linear rule probes the full base
+// relation per delta tuple; the doubly recursive rule probes its own
+// relation from both delta versions.
 func BenchmarkE21HashJoin(b *testing.B) {
 	facts := workload.RandomGraph(48, 320, 11)
-	linear := `
-module m.
-export tc(ff).
-@rewrite none.
-@no_indexing.
-tc(X, Y) :- edge(X, Y).
-tc(X, Y) :- tc(X, Z), edge(Z, Y).
-end_module.
-`
-	sym := `
-module m.
-export p(ff).
-@rewrite none.
-@no_indexing.
-p(X, Y) :- edge(X, Y).
-p(X, Y) :- p(X, Z), p(Z, Y).
-end_module.
-`
-	for _, w := range []struct {
-		name, mod, pred string
-	}{
-		{"linear", linear, "tc"},
-		{"sym", sym, "p"},
+	mod := func(ann, rec string) string {
+		return "module m.\nexport p(ff).\n@rewrite none.\n" + ann +
+			"p(X, Y) :- edge(X, Y).\np(X, Y) :- " + rec + ".\nend_module.\n"
+	}
+	for _, w := range []struct{ name, rec string }{
+		{"linear", "p(X, Z), edge(Z, Y)"},
+		{"sym", "p(X, Z), p(Z, Y)"},
 	} {
-		for _, mode := range []struct {
-			name string
-			hash bool
-		}{
-			{"nestedloops", false},
-			{"hash", true},
+		for _, ix := range []struct{ name, ann string }{
+			{"noindex", "@no_indexing.\n"},
+			{"indexed", ""},
 		} {
-			b.Run(w.name+"/"+mode.name, func(b *testing.B) {
+			b.Run(w.name+"/"+ix.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					sys := benchSystem(b, facts+w.mod)
-					sys.HashJoins = mode.hash
-					benchCall(b, sys, w.pred, term.NewVar("X"), term.NewVar("Y"))
+					benchCall(b, benchSystem(b, facts+mod(ix.ann, w.rec)), "p", term.NewVar("X"), term.NewVar("Y"))
 				}
 			})
 		}
 	}
 }
 
-// BenchmarkE22Bytecode measures compiling rule bodies to
-// adornment-specialized register bytecode (DESIGN.md §5.15) against the
-// nested-loops interpreter, toggled per arm via System.Bytecode on
-// otherwise identical systems — answers are byte-identical by
-// construction (the differential suite in internal/engine pins it).
+// BenchmarkE22Bytecode runs the three workloads the register bytecode
+// machine (DESIGN.md §5.15) was measured on. The interpreter arm went with
+// the machine's switch; EXPERIMENTS.md E22 and E24 keep the comparison.
 //
 // reach is the E05 reachability closure: two-literal rules the streaming
 // hash-join layer already handles, so the bytecode margin there is small
@@ -786,21 +715,11 @@ end_module.
 			[]term.Term{term.NewVar("X"), term.NewVar("Y"), term.NewVar("C")}},
 	}
 	for _, w := range workloads {
-		for _, mode := range []struct {
-			name string
-			bc   bool
-		}{
-			{"interp", false},
-			{"bytecode", true},
-		} {
-			b.Run(w.name+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					sys := benchSystem(b, w.src)
-					sys.Bytecode = mode.bc
-					benchCall(b, sys, w.pred, w.args...)
-				}
-			})
-		}
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchCall(b, benchSystem(b, w.src), w.pred, w.args...)
+			}
+		})
 	}
 }

@@ -59,56 +59,6 @@ func New() *System {
 // sequential evaluation produce identical answers in identical order.
 func (s *System) SetParallelism(n int) { s.eng.Parallelism = n }
 
-// SetJoinPlanning toggles the cost-based join planner (on by default): per
-// rule version the engine reorders body literals greedily by estimated
-// intermediate size, using live relation statistics, while builtins and
-// negation stay at the earliest position where their arguments are bound.
-// Off, every rule body is evaluated in its written order — today's
-// pre-planner behavior, byte for byte. Planner on and off produce the same
-// answer sets; the enumeration order of answers may differ.
-func (s *System) SetJoinPlanning(on bool) { s.eng.JoinPlanning = on }
-
-// SetHashJoins toggles hash-join access paths (on by default): when the
-// join planner estimates that a body literal will be probed many times, the
-// literal's scan range is loaded once into a transient hash table pre-sized
-// from live statistics and every probe becomes a bucket lookup, replacing
-// per-probe index searches; two-literal recursive rules additionally take a
-// symmetric fast path whose semi-naive delta versions probe build tables
-// over each other's ranges. The classic build/probe form requires
-// SetJoinPlanning on (the planner places the marks). On and off produce
-// identical answer sets in identical order.
-func (s *System) SetHashJoins(on bool) { s.eng.HashJoins = on }
-
-// SetFlowOptimization toggles the flow-analysis-driven optimizations (on
-// by default): rules unreachable from the query form are pruned before
-// compilation, magic rewriting is skipped when every reachable context
-// calls with all arguments free (the magic filter would admit everything),
-// and the join planner seeds rule bodies at their magic literal. On and
-// off produce the same answer sets; off reproduces the pre-analysis
-// compilation byte for byte.
-func (s *System) SetFlowOptimization(on bool) { s.eng.FlowOptimization = on }
-
-// SetStaticSeeding toggles planner cold-start seeding from the
-// compile-time cardinality analysis (on by default): body sources without
-// live statistics — derived relations before their first fixpoint round,
-// module-call and computed sources — are priced from static row and
-// domain bounds instead of blind defaults, and iteration-budget aborts
-// report the statically proven round bound ("statically expected ≤ N
-// rounds"). Live statistics take over as relations fill. On and off
-// produce the same answer sets; the enumeration order of answers may
-// differ.
-func (s *System) SetStaticSeeding(on bool) { s.eng.StaticSeeding = on }
-
-// SetBytecode toggles register-bytecode execution of rule bodies (on by
-// default): eligible rule versions are compiled once per (rule, adornment)
-// to flat opcode streams — constant tests, register stores and compares,
-// functor descents, unboxed arithmetic — and the join loop runs those
-// instead of interpreting rule structures per candidate tuple. Rules
-// outside the compiled fragment, traced evaluations, and Ordered Search
-// always use the interpreter. On and off produce identical answers, byte
-// for byte, in identical order.
-func (s *System) SetBytecode(on bool) { s.eng.Bytecode = on }
-
 // Budget bounds one evaluation: wall-clock deadline, derived-fact count,
 // and fixpoint iterations. The zero value means unlimited. See SetBudget.
 type Budget = engine.Budget

@@ -84,8 +84,7 @@ const (
 	// CheckCrossProduct: a positive body literal shares no variables with
 	// the literals before it, so the written order joins a full cross
 	// product. The runtime join planner reorders it away, but the written
-	// order is what every planner-off path (tracing, Ordered Search,
-	// SetJoinPlanning(false)) evaluates.
+	// order is what tracing and Ordered Search evaluate.
 	CheckCrossProduct = "cross-product"
 	// CheckUnreachableRule (interprocedural, analysis/flow): a predicate is
 	// defined and referenced, but no exported query form reaches it — its

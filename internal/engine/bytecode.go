@@ -406,29 +406,6 @@ func bcAbsVal(a bcVal) bcVal {
 	return bcWrap(absTerm(a.t))
 }
 
-// bcLoadTuple loads a ground positional tuple into the register file, one
-// column per register — the operator stages' calling convention
-// (operator.go).
-func (ev *evaluator) bcLoadTuple(p *bcProg, t []term.Term) {
-	m := &ev.bc
-	if cap(m.regs) < p.nregs {
-		m.regs = make([]term.Term, p.nregs)
-		m.iregs = make([]int64, p.nregs)
-		m.rkind = make([]uint8, p.nregs)
-	}
-	m.regs = m.regs[:cap(m.regs)]
-	m.rkind = m.rkind[:cap(m.rkind)]
-	for i, v := range t {
-		m.regs[i] = v
-		if ci, ok := v.(term.Int); ok {
-			m.iregs[i] = int64(ci)
-			m.rkind[i] = rkBoth
-		} else {
-			m.rkind[i] = rkTerm
-		}
-	}
-}
-
 // bcBuild runs a build program and returns the constructed term.
 func (ev *evaluator) bcBuild(p *bcProg, code []bcInstr) term.Term {
 	ev.bcExec(p, code, nil, nil)
@@ -699,9 +676,9 @@ func (ev *evaluator) runBC(p *bcProg, rr ruleRanges, emit emitFunc) (handled boo
 				return false
 			}
 			// lint:allow roviol — fr is this round's scratch scan frame; the
-		// unwrapped relation is only read (bounded scans, index lookups)
-		// and the frame never outlives the call.
-		fr.src, fr.hr = src, hr
+			// unwrapped relation is only read (bounded scans, index lookups)
+			// and the frame never outlives the call.
+			fr.src, fr.hr = src, hr
 		case ItemNegRel:
 			src, err := ev.st.source(it.src.Pred)
 			if err != nil {

@@ -3,9 +3,6 @@ package engine
 import (
 	"strings"
 	"testing"
-
-	"coral/internal/ast"
-	"coral/internal/term"
 )
 
 // bcEdgeSrc drives every corner of the register machine's arithmetic and
@@ -16,7 +13,7 @@ import (
 // arithmetic on either, both, and neither side, functor match programs
 // with repeated variables, and a negation probe. One export, tagged
 // tuples, no magic rewriting — so every rule compiles and runs on the
-// machine when Bytecode is on.
+// machine.
 const bcEdgeSrc = `
 big(4611686018427387904).
 seven(7).
@@ -60,11 +57,7 @@ end_module.
 // addition, the atom ordering — so a silently-empty differential cannot
 // pass.
 func TestBytecodeArithEdgeCases(t *testing.T) {
-	off := bcRun(t, bcEdgeSrc, "r", 2, 1, false)
-	on := bcRun(t, bcEdgeSrc, "r", 2, 1, true)
-	if !sameStrings(off, on) {
-		t.Fatalf("bytecode changed the answers\noff: %v\non:  %v", off, on)
-	}
+	on := diffGoal(t, bcEdgeSrc, "r(T, X)")
 	for _, want := range []string{
 		"(add, 9223372036854775808n)",    // + overflow -> Big
 		"(subo, -13835058055282163712n)", // - overflow -> Big
@@ -120,29 +113,23 @@ func TestBytecodeRuntimeErrorParity(t *testing.T) {
 			// @eager: the fixpoint runs inside Call, so the throw surfaces
 			// as Call's error instead of escaping a lazy Next.
 			src := "z(0).\nfz(1.5).\nmodule m.\nexport q(f).\n@rewrite none.\n@eager.\n" + tc.body + "\nend_module.\n"
-			var msgs [2]string
-			for i, bc := range []bool{false, true} {
-				sys, err := LoadSystem(src)
-				if err != nil {
-					t.Fatalf("load: %v", err)
-				}
-				sys.Bytecode = bc
-				key := ast.PredKey{Name: "q", Arity: 1}
-				def, ok := sys.Export(key)
-				if !ok {
-					t.Fatalf("no export %s", key)
-				}
-				_, callErr := def.Call(key, []term.Term{term.NewVar("X")}, nil)
+			sys, err := LoadSystem(src)
+			if err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			goal := parseGoal(t, "q(X)")
+			_, _, refErr := refCall(sys, goal)
+			_, engErr := engineCall(sys, goal)
+			for side, callErr := range map[string]error{"reference": refErr, "engine": engErr} {
 				if callErr == nil {
-					t.Fatalf("bytecode=%v: no error from %s", bc, tc.name)
+					t.Fatalf("%s: no error from %s", side, tc.name)
 				}
 				if !strings.Contains(callErr.Error(), tc.want) {
-					t.Fatalf("bytecode=%v: error %q does not mention %q", bc, callErr, tc.want)
+					t.Fatalf("%s: error %q does not mention %q", side, callErr, tc.want)
 				}
-				msgs[i] = callErr.Error()
 			}
-			if msgs[0] != msgs[1] {
-				t.Errorf("error text diverged\noff: %s\non:  %s", msgs[0], msgs[1])
+			if refErr.Error() != engErr.Error() {
+				t.Errorf("error text diverged\nreference: %s\nengine:    %s", refErr, engErr)
 			}
 		})
 	}

@@ -5,130 +5,14 @@ import (
 	"runtime"
 	"testing"
 
-	"coral/internal/ast"
 	"coral/internal/term"
 	"coral/internal/workload"
 )
 
-// bcRun loads src with bytecode forced on or off and returns the answers
-// of pred/arity in evaluation order. The bytecode machine mirrors the
-// nested-loops interpreter frame for frame, so on and off must agree byte
-// for byte — same answers, same positions.
-func bcRun(t *testing.T, src, pred string, arity, parallelism int, bc bool) []string {
-	t.Helper()
-	sys, err := LoadSystem(src)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	sys.Parallelism = parallelism
-	sys.Bytecode = bc
-	return answersInOrder(t, sys, pred, arity)
-}
-
-// TestBytecodeDifferentialRandom is the bytecode differential property
-// test: on seeded random mutually recursive programs — across fixpoint
-// strategies (BSN, PSN, naive), with and without magic rewriting,
-// sequentially and in parallel — compiling rule bodies to register
-// bytecode must not change a single answer or its position. CI runs this
-// package under -race -cpu=1,4.
-func TestBytecodeDifferentialRandom(t *testing.T) {
-	strategies := []string{"", "@psn.\n", "@naive.\n"}
-	for seed := int64(0); seed < 8; seed++ {
-		facts := workload.RandomGraph(10, 25, seed)
-		for _, strat := range strategies {
-			for _, rewrite := range []string{"@rewrite none.\n", ""} {
-				src := facts + workload.RandomDatalogModule(seed, rewrite+strat)
-				base := bcRun(t, src, "p0", 2, 1, false)
-				if len(base) == 0 {
-					t.Fatalf("seed %d %q: differential program produced no answers", seed, rewrite+strat)
-				}
-				for _, par := range []int{1, 4} {
-					got := bcRun(t, src, "p0", 2, par, true)
-					if !sameStrings(base, got) {
-						t.Errorf("seed %d %q par %d: bytecode changed the answers\noff: %v\non:  %v",
-							seed, rewrite+strat, par, base, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBytecodeDifferentialOrderedSearch covers the Ordered Search
-// fixpoint, where bytecode is auto-disabled (magic-fact attribution reads
-// live rule environments): the toggle must be a no-op there.
-func TestBytecodeDifferentialOrderedSearch(t *testing.T) {
-	src := workload.WinGameMoves(18, 2, 3, 7) + workload.WinModule("@ordered_search.")
-	run := func(bc bool) []string {
-		sys, err := LoadSystem(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Bytecode = bc
-		key := ast.PredKey{Name: "win", Arity: 1}
-		def, ok := sys.Export(key)
-		if !ok {
-			t.Fatal("win/1 not exported")
-		}
-		it, err := def.Call(key, []term.Term{term.Atom("p0")}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []string
-		for {
-			f, ok := it.Next()
-			if !ok {
-				return out
-			}
-			out = append(out, f.String())
-		}
-	}
-	base := run(false)
-	if got := run(true); !sameStrings(base, got) {
-		t.Errorf("bytecode changed the Ordered Search answers\noff: %v\non:  %v", base, got)
-	}
-}
-
-// TestBytecodeDifferentialPipelined covers the pipelined evaluator, which
-// never routes through evalRule: the toggle must not disturb its answers.
-func TestBytecodeDifferentialPipelined(t *testing.T) {
-	src := workload.Chain(24) + workload.TCModule("@pipelining.")
-	base := bcRun(t, src, "tc", 2, 1, false)
-	if len(base) == 0 {
-		t.Fatal("pipelined program produced no answers")
-	}
-	if got := bcRun(t, src, "tc", 2, 1, true); !sameStrings(base, got) {
-		t.Errorf("bytecode changed the pipelined answers\noff: %v\non:  %v", base, got)
-	}
-}
-
-// TestBytecodeDifferentialArithmetic drives the compiled builtin fragment
-// — assignment into a free variable, unboxed integer arithmetic, bound
-// comparisons — under an aggregate selection, whose displacing inserts the
-// machine must observe exactly as the interpreter does.
-func TestBytecodeDifferentialArithmetic(t *testing.T) {
-	src := workload.WeightedGraph(10, 30, 8, 5) + `
-module m.
-export best(ff).
-@rewrite none.
-@aggregate_selection dist(X, C) (X) min(C).
-dist(Y, C) :- edge(X, Y, C).
-dist(Y, C) :- dist(X, C1), edge(X, Y, C2), C = C1 + C2, C < 40.
-best(X, C) :- dist(X, C).
-end_module.
-`
-	base := bcRun(t, src, "best", 2, 1, false)
-	if len(base) == 0 {
-		t.Fatal("aggregate-selection program produced no answers")
-	}
-	if got := bcRun(t, src, "best", 2, 1, true); !sameStrings(base, got) {
-		t.Errorf("bytecode changed the arithmetic answers\noff: %v\non:  %v", base, got)
-	}
-}
-
-// TestBytecodeEngages pins that the toggle actually routes applications
-// through the machine — a differential suite over a path that silently
-// fell back to the interpreter would test nothing.
+// TestBytecodeEngages pins that eligible rule applications actually run on
+// the machine — a differential suite over a path that silently fell back to
+// the interpreter would test nothing — and that the machine keeps the
+// interpreter's counters.
 func TestBytecodeEngages(t *testing.T) {
 	src := workload.RandomGraph(12, 30, 3) + `
 module m.
@@ -138,29 +22,23 @@ tc(X, Y) :- edge(X, Y).
 tc(X, Y) :- edge(X, Z), tc(Z, Y).
 end_module.
 `
-	measure := func(bc bool) RunStats {
-		sys, err := LoadSystem(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Bytecode = bc
-		stats, err := sys.MeasureCall(ast.PredKey{Name: "tc", Arity: 2},
-			[]term.Term{term.NewVar("X"), term.NewVar("Y")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
+	sys, err := LoadSystem(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	off := measure(false)
+	_, off, err := refCall(sys, parseGoal(t, "tc(X, Y)"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if off.BytecodeRuns != 0 {
-		t.Errorf("bytecode counter non-zero with the toggle off: %+v", off)
+		t.Errorf("bytecode counter non-zero on the reference evaluator: %+v", off)
 	}
-	on := measure(true)
+	_, on := measureModule(t, sys, "tc", term.NewVar("X"), term.NewVar("Y"))
 	if on.BytecodeRuns == 0 {
 		t.Fatalf("no rule application ran on the bytecode machine: %+v", on)
 	}
 	if on.Answers != off.Answers || on.Derivations != off.Derivations || on.Attempts != off.Attempts {
-		t.Errorf("bytecode changed the engine counters: on %+v, off %+v", on, off)
+		t.Errorf("bytecode changed the engine counters: engine %+v, reference %+v", on, off)
 	}
 }
 

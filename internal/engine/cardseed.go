@@ -31,22 +31,14 @@ import (
 type cardResult = card.Result
 
 // staticSeeder lazily computes the cardinality analysis for one program.
-// It is created per evaluation (ModuleDef.Call) when System.StaticSeeding
-// is on, and computes on first use — an evaluation whose plans never hit a
-// cold or statistics-free source pays nothing.
+// It is created per evaluation (configureEval) and computes on first use —
+// an evaluation whose plans never hit a cold or statistics-free source pays
+// nothing.
 type staticSeeder struct {
 	sys  *System
 	prog *Program
 	res  *card.Result
 	done bool
-}
-
-// seederFor builds the seeder for one call, or nil when seeding is off.
-func (sys *System) seederFor(prog *Program) *staticSeeder {
-	if !sys.StaticSeeding {
-		return nil
-	}
-	return &staticSeeder{sys: sys, prog: prog}
 }
 
 // compute runs the analysis over the rewritten rules once. Aggregate

@@ -35,24 +35,25 @@ type matEval struct {
 	ctx      *osContext // Ordered Search context; nil otherwise
 	exitDone map[*Stratum]bool
 
+	// The path flags below (and ev.bytecode) are set in one place,
+	// ModuleDef.configureEval, and only read elsewhere. Their zero values are
+	// the reference evaluator: written order, index lookups, the
+	// interpreter, one worker, no static estimates.
+
 	// parallelism is the worker budget for BSN rounds (<= 1: sequential);
 	// parSafe caches the per-stratum parallel-safety analysis (parallel.go).
 	parallelism int
 	parSafe     map[*Stratum]bool
 
-	// planning enables the cost-based join planner (plan.go); plans caches
+	// planning runs rule versions on the cost-based join planner's schedule
+	// (plan.go), hash build/probe marks included (hashjoin.go); plans caches
 	// fitted schedules per rule version.
 	planning bool
 	plans    map[planKey]*cachedPlan
 
-	// hashing enables hash-join access paths (hashjoin.go): the planner's
-	// build/probe marking and the symmetric positional fast path. On and
-	// off produce identical answer sets.
-	hashing bool
-
 	// seed supplies static cardinality estimates where live statistics are
 	// absent or cold, and the round-bound hint for iteration-budget aborts
-	// (cardseed.go); nil when System.StaticSeeding is off.
+	// (cardseed.go). Every method is nil-safe.
 	seed *staticSeeder
 
 	// sharedRO marks an evaluation running concurrently with others over
@@ -78,8 +79,6 @@ func newMatEval(prog *Program, external func(ast.PredKey) (Source, error)) *matE
 	me := &matEval{
 		prog:      prog,
 		lastMarks: make(map[*Compiled]map[ast.PredKey]relation.Mark),
-		planning:  true,
-		hashing:   true,
 	}
 	me.st = newStore(external, prog.configureRelation)
 	me.st.isLocal = func(k ast.PredKey) bool { return prog.LocalPreds[k] }
@@ -407,9 +406,26 @@ func (me *matEval) snapshotNow(c *Compiled) map[ast.PredKey]relation.Mark {
 	return now
 }
 
-// applyRecursive runs all delta versions of rule c using its stored marks
-// and the supplied now-snapshot, then advances the marks.
-func (me *matEval) applyRecursive(c *Compiled, now map[ast.PredKey]relation.Mark) error {
+// planVersions fits the plan of every delta version of the given rules, in
+// (rule, RecPositions) order.
+func (me *matEval) planVersions(rules ...*Compiled) []*Compiled {
+	n := 0
+	for _, c := range rules {
+		n += len(c.RecPositions)
+	}
+	planned := make([]*Compiled, 0, n)
+	for _, c := range rules {
+		for _, pos := range c.RecPositions {
+			planned = append(planned, me.planFor(c, pos))
+		}
+	}
+	return planned
+}
+
+// applyRecursive runs all delta versions of rule c — planned holds their
+// fitted plans (planVersions) — using its stored marks and the supplied
+// now-snapshot, then advances the marks.
+func (me *matEval) applyRecursive(c *Compiled, now map[ast.PredKey]relation.Mark, planned []*Compiled) error {
 	last := me.marksFor(c)
 	// Complete the last map for predicates this rule reads.
 	for _, pos := range c.RecPositions {
@@ -418,25 +434,14 @@ func (me *matEval) applyRecursive(c *Compiled, now map[ast.PredKey]relation.Mark
 			last[pred] = 0
 		}
 	}
-	if me.symEligible(c) {
-		if handled, err := me.evalSymDelta(c, last, now); handled {
-			if err != nil {
-				return err
-			}
-			for pred, mk := range now {
-				last[pred] = mk
-			}
-			return nil
-		}
-	}
 	emit := func(f Fact) bool {
 		me.insert(c.HeadPred, f)
 		return true
 	}
 	me.ev.headDup = me.dupRel(c.HeadPred)
-	for _, pos := range c.RecPositions {
+	for i, pos := range c.RecPositions {
 		rr := ruleRanges{DeltaPos: pos, Last: last, Now: now}
-		if err := me.ev.evalRule(me.planFor(c, pos), rr, emit); err != nil {
+		if err := me.ev.evalRule(planned[i], rr, emit); err != nil {
 			me.ev.headDup = nil
 			return err
 		}
@@ -465,6 +470,10 @@ func (me *matEval) bsnIteration(st *Stratum) bool {
 			}
 		}
 	}
+	// Every version is planned against the round-start statistics, before
+	// any rule inserts — as the parallel round plans them — so one worker
+	// and many run the same schedules and emit in the same order.
+	planned := me.planVersions(st.RecRules...)
 	heads := me.headMarks(st.RecRules)
 	before := me.totalFacts(st)
 	for _, c := range st.RecRules {
@@ -472,7 +481,9 @@ func (me *matEval) bsnIteration(st *Stratum) bool {
 		for _, pos := range c.RecPositions {
 			ruleNow[c.Body[pos].Pred] = now[c.Body[pos].Pred]
 		}
-		if err := me.applyRecursive(c, ruleNow); err != nil {
+		versions := planned[:len(c.RecPositions)]
+		planned = planned[len(c.RecPositions):]
+		if err := me.applyRecursive(c, ruleNow, versions); err != nil {
 			me.rollbackTo(heads)
 			me.fail(err)
 			return false
@@ -494,7 +505,7 @@ func (me *matEval) psnIteration(st *Stratum) bool {
 			if c.HeadPred != pred {
 				continue
 			}
-			if err := me.applyRecursive(c, me.snapshotNow(c)); err != nil {
+			if err := me.applyRecursive(c, me.snapshotNow(c), me.planVersions(c)); err != nil {
 				me.rollbackTo(heads)
 				me.fail(err)
 				return false

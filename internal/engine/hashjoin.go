@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"coral/internal/ast"
-	"coral/internal/relation"
-	"coral/internal/term"
-)
+import "coral/internal/relation"
 
 // Hash-join execution (paper §5.3 extends naturally: the optimizer's access
 // annotations here include a build/probe access path, not only indexes).
@@ -24,14 +20,7 @@ import (
 // ascending insertion order over the same ordinal range a nested-loops scan
 // would walk, so the accepted-candidate sequence — and therefore every
 // emission, duplicate decision, and the parallel round's merge order — is
-// byte-identical with hash joins on or off.
-//
-// Two-literal recursive rules additionally take a symmetric positional fast
-// path (evalSymDelta): per semi-naive round, each delta version streams one
-// side while probing a table over the other side's range, the two versions
-// together forming a symmetric hash join of the round. Facts flow as ground
-// positional tuples through composed operators (operator.go) without
-// touching environments or the trail.
+// byte-identical to the index-lookup path's.
 
 // tableCacheMax bounds the build-table cache; past it the cache is evicted
 // wholesale (entries are tied to plan versions, so steady-state evaluations
@@ -115,9 +104,13 @@ func (ev *evaluator) tableFor(it *CItem, hr *relation.HashRelation, from, to rel
 	return ev.buildTable(it, hr, from, to)
 }
 
-// buildTable loads [from, to) into a fresh table keyed on it.HashKeyPos and
-// caches it under the item. Runs only on the evaluation's writer goroutine
-// (like planFor); the build loop polls the budget, so it may throw.
+// buildTable loads [from, to) of hr into a fresh table keyed on
+// it.HashKeyPos and caches it under the item. The table is pre-sized from
+// the relation's live statistics: the fact slice to the range's row count
+// and the bucket map to the key's estimated distinct count (a multi-position
+// key has at least as many distinct values as its most selective position).
+// Runs only on the evaluation's writer goroutine (like planFor); the build
+// loop polls the budget, so it may throw.
 func (ev *evaluator) buildTable(it *CItem, hr *relation.HashRelation, from, to relation.Mark) *builtTable {
 	if ev.tables == nil {
 		ev.tables = make(map[*CItem]*builtTable)
@@ -126,25 +119,13 @@ func (ev *evaluator) buildTable(it *CItem, hr *relation.HashRelation, from, to r
 			delete(ev.tables, k)
 		}
 	}
-	bt := &builtTable{from: from, to: to, muts: hr.Mutations(),
-		tab: ev.loadJoinTable(hr, from, to, it.HashKeyPos)}
-	ev.tables[it] = bt
-	return bt
-}
-
-// loadJoinTable builds a JoinTable over [from, to) of hr keyed on keyPos,
-// pre-sized from the relation's live statistics: the fact slice to the
-// range's row count and the bucket map to the key's estimated distinct
-// count (a multi-position key has at least as many distinct values as its
-// most selective position).
-func (ev *evaluator) loadJoinTable(hr *relation.HashRelation, from, to relation.Mark, keyPos []int) *relation.JoinTable {
 	st := hr.Stats()
 	rows := int(to - from)
 	if rows > st.Rows {
 		rows = st.Rows // tombstones: the range holds at most the live count
 	}
 	distinct := 0
-	for _, p := range keyPos {
+	for _, p := range it.HashKeyPos {
 		if p < len(st.Distinct) && st.Distinct[p] > distinct {
 			distinct = st.Distinct[p]
 		}
@@ -152,7 +133,8 @@ func (ev *evaluator) loadJoinTable(hr *relation.HashRelation, from, to relation.
 	if distinct == 0 || distinct > rows {
 		distinct = rows
 	}
-	tab := relation.NewJoinTable(keyPos, rows, distinct)
+	bt := &builtTable{from: from, to: to, muts: hr.Mutations(),
+		tab: relation.NewJoinTable(it.HashKeyPos, rows, distinct)}
 	sc := hr.ScanRange(from, to)
 	for {
 		f, ok := sc.Next()
@@ -160,10 +142,11 @@ func (ev *evaluator) loadJoinTable(hr *relation.HashRelation, from, to relation.
 			break
 		}
 		ev.pollBudget()
-		tab.Add(f)
+		bt.tab.Add(f)
 	}
 	ev.HashBuilds++
-	return tab
+	ev.tables[it] = bt
+	return bt
 }
 
 // prebuildTables builds, on the writer goroutine, every build table a
@@ -190,194 +173,4 @@ func (me *matEval) prebuildTables(c *Compiled, rr ruleRanges) (err error) {
 		me.ev.tableFor(it, hr, from, to)
 	}
 	return nil
-}
-
-// symEligible reports whether the two-literal recursive rule c may take the
-// symmetric positional fast path (evalSymDelta). The static conditions:
-// exactly two body items, both positive recursive relation literals over
-// plain hash relations without aggregate selections, every argument a
-// distinct variable within its item, at least one variable shared between
-// the items (the join key), every head argument a body variable, no head
-// aggregation, and no aggregate selections anywhere in the program (a
-// displacing insert mid-round would be visible to nested-loops scans but
-// not to tables built at version start). Ordered Search and tracing read
-// rule instantiations and environments, so both disqualify.
-func (me *matEval) symEligible(c *Compiled) bool {
-	if !me.hashing || me.ctx != nil || me.ev.trace != nil {
-		return false
-	}
-	if len(c.Body) != 2 || len(c.Aggs) != 0 || len(c.RecPositions) != 2 {
-		return false
-	}
-	if len(me.prog.AggSels) > 0 {
-		return false
-	}
-	var seen [2]map[int]bool
-	for bi := range c.Body {
-		it := &c.Body[bi]
-		if it.Kind != ItemRel || !it.Recursive {
-			return false
-		}
-		slots := make(map[int]bool, len(it.Args))
-		for _, a := range it.Args {
-			v, ok := a.(*term.Var)
-			if !ok || slots[v.Index] {
-				return false // a constant, functor, or repeated variable
-			}
-			slots[v.Index] = true
-		}
-		seen[bi] = slots
-		src, err := me.st.source(it.Pred)
-		if err != nil {
-			return false
-		}
-		hr := hashRelOf(src)
-		if hr == nil || len(hr.AggSels()) > 0 {
-			return false
-		}
-	}
-	shared := false
-	for s := range seen[0] {
-		if seen[1][s] {
-			shared = true
-			break
-		}
-	}
-	if !shared {
-		return false
-	}
-	for _, a := range c.HeadArgs {
-		v, ok := a.(*term.Var)
-		if !ok || (!seen[0][v.Index] && !seen[1][v.Index]) {
-			return false
-		}
-	}
-	return true
-}
-
-// symVersion is one prepared delta version of the fast path: the planned
-// orientation (outer streams, inner is tabled), the discipline ranges, the
-// aligned key positions, and the head projection over the concatenated
-// (outer ++ inner) tuple.
-type symVersion struct {
-	outer, inner *CItem
-	hrOut, hrIn  *relation.HashRelation
-	oFrom, oTo   relation.Mark
-	iFrom, iTo   relation.Mark
-	outerKey     []int
-	innerKey     []int
-	headCols     []int
-}
-
-// evalSymDelta evaluates every delta version of a symEligible rule
-// positionally. Per version the planner fixes the orientation; the outer
-// side streams its discipline range in ordinal order while the inner side
-// is loaded into a join table keyed on the shared variable positions. The
-// two (or more) versions of a round together form the round's symmetric
-// hash join: each side's delta probes a table over the other side.
-//
-// Tuples flow through composed operators (operator.go) — scan, hash-probe,
-// project — without environments or the trail: eligibility guarantees
-// distinct-variable arguments, and a runtime pre-check rejects ranges
-// holding non-ground facts, so candidate verification is plain term
-// equality on the key positions, which coincides with unification. The
-// emission sequence is byte-identical to the generic per-version loop
-// (ascending outer ordinals, probe candidates in ascending entry order),
-// so duplicate decisions, relation contents, and the parallel round's
-// byte-for-byte contract are all preserved.
-//
-// handled is false when a runtime precondition fails — the caller then runs
-// the generic loop; nothing has been inserted yet in that case.
-func (me *matEval) evalSymDelta(c *Compiled, last, now map[ast.PredKey]relation.Mark) (handled bool, err error) {
-	versions := make([]symVersion, 0, len(c.RecPositions))
-	for _, pos := range c.RecPositions {
-		rr := ruleRanges{DeltaPos: pos, Last: last, Now: now}
-		pc := me.planFor(c, pos)
-		if len(pc.Body) != 2 || pc.Body[0].Kind != ItemRel || pc.Body[1].Kind != ItemRel {
-			return false, nil
-		}
-		v := symVersion{outer: &pc.Body[0], inner: &pc.Body[1]}
-		srcO, errO := me.st.source(v.outer.Pred)
-		srcI, errI := me.st.source(v.inner.Pred)
-		if errO != nil || errI != nil {
-			return false, nil // let the generic path surface the error
-		}
-		// lint:allow roviol — v is a local per-version descriptor; both
-		// relations are only scanned and probed (build tables cap at the
-		// snapshot mark), never mutated, and v does not escape the round.
-		v.hrOut, v.hrIn = hashRelOf(srcO), hashRelOf(srcI)
-		if v.hrOut == nil || v.hrIn == nil {
-			return false, nil
-		}
-		v.oFrom, v.oTo = scanBounds(v.outer, rr, srcO)
-		v.iFrom, v.iTo = scanBounds(v.inner, rr, srcI)
-		if v.hrOut.NonGroundWithin(v.oFrom, v.oTo) || v.hrIn.NonGroundWithin(v.iFrom, v.iTo) {
-			return false, nil
-		}
-		// Align the key: for every inner position whose variable also
-		// occurs in the outer item, record both positions. symEligible
-		// vetted the argument shapes (distinct plain variables per item).
-		outerSlot := make(map[int]int, len(v.outer.Args))
-		for p, a := range v.outer.Args {
-			outerSlot[a.(*term.Var).Index] = p
-		}
-		innerSlot := make(map[int]int, len(v.inner.Args))
-		for p, a := range v.inner.Args {
-			vr := a.(*term.Var)
-			innerSlot[vr.Index] = p
-			if op, ok := outerSlot[vr.Index]; ok {
-				v.outerKey = append(v.outerKey, op)
-				v.innerKey = append(v.innerKey, p)
-			}
-		}
-		if len(v.innerKey) == 0 {
-			return false, nil
-		}
-		v.headCols = make([]int, len(pc.HeadArgs))
-		for i, a := range pc.HeadArgs {
-			vr := a.(*term.Var)
-			if p, ok := outerSlot[vr.Index]; ok {
-				v.headCols[i] = p
-			} else if p, ok := innerSlot[vr.Index]; ok {
-				v.headCols[i] = len(v.outer.Args) + p
-			} else {
-				return false, nil
-			}
-		}
-		versions = append(versions, v)
-	}
-
-	// Execution. From here the path commits: inserts happen, and a budget
-	// throw (fact counter, amortized poll) unwinds through this recover to
-	// the caller, which rolls the round back like any other rule failure.
-	defer recoverEval(&err)
-	for i := range versions {
-		v := &versions[i]
-		// Sym tables are rebuilt per version rather than cached: every
-		// version's range moves each round, so cross-round reuse would
-		// never hit.
-		tab := me.ev.loadJoinTable(v.hrIn, v.iFrom, v.iTo, v.innerKey)
-		scan := &scanOp{it: v.hrOut.ScanRange(v.oFrom, v.oTo), poll: me.ev.pollBudget}
-		join := newHashJoinOp(scan, tab, v.outerKey, me.ev.pollBudget)
-		width := len(v.outer.Args) + len(v.inner.Args)
-		var proj tupleIter = &projectOp{in: join, cols: v.headCols}
-		if me.ev.bytecode && !me.ev.bc.busy {
-			// Same pipeline, bytecode projection stage: head columns read
-			// through the register machine's dispatch loop.
-			proj = newBCProjectColumns(join, me.ev, width, v.headCols)
-		}
-		me.ev.HashProbes++
-		for {
-			t, ok := proj.Next()
-			if !ok {
-				break
-			}
-			me.ev.Derivations++
-			me.insert(c.HeadPred, relation.GroundFact(append([]term.Term(nil), t...)...))
-		}
-		// Mirror the nested-loops counters: one attempt per outer tuple
-		// considered plus one per probe candidate inspected.
-		me.ev.Attempts += scan.Count + join.Considered
-	}
-	return true, nil
 }

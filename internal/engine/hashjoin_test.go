@@ -5,129 +5,18 @@ import (
 	"runtime"
 	"testing"
 
-	"coral/internal/ast"
 	"coral/internal/relation"
 	"coral/internal/term"
 	"coral/internal/workload"
 )
 
-// hashRun loads src with hash joins forced on or off and returns the
-// answers of pred/arity in evaluation order. Order matters: the hash
-// access path serves probe candidates in ascending entry order over the
-// same ordinal range nested loops would scan, so on and off must agree
-// byte for byte, not just as sets.
-func hashRun(t *testing.T, src, pred string, arity, parallelism int, hash bool) []string {
-	t.Helper()
-	sys, err := LoadSystem(src)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	sys.Parallelism = parallelism
-	sys.HashJoins = hash
-	return answersInOrder(t, sys, pred, arity)
-}
-
-// TestHashJoinDifferentialRandom is the hash-join differential property
-// test: on seeded random mutually recursive programs — across fixpoint
-// strategies, with and without magic rewriting, sequentially and in
-// parallel — turning hash joins on must not change a single answer or its
-// position. CI runs this package under -race -cpu=1,4.
-func TestHashJoinDifferentialRandom(t *testing.T) {
-	strategies := []string{"", "@psn.\n", "@naive.\n"}
-	for seed := int64(0); seed < 8; seed++ {
-		facts := workload.RandomGraph(10, 25, seed)
-		for _, strat := range strategies {
-			for _, rewrite := range []string{"@rewrite none.\n", ""} {
-				src := facts + workload.RandomDatalogModule(seed, rewrite+strat)
-				base := hashRun(t, src, "p0", 2, 1, false)
-				if len(base) == 0 {
-					t.Fatalf("seed %d %q: differential program produced no answers", seed, rewrite+strat)
-				}
-				for _, par := range []int{1, 4} {
-					got := hashRun(t, src, "p0", 2, par, true)
-					if !sameStrings(base, got) {
-						t.Errorf("seed %d %q par %d: hash joins changed the answers\noff: %v\non:  %v",
-							seed, rewrite+strat, par, base, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestHashJoinDifferentialOrderedSearch covers the Ordered Search fixpoint:
-// hash-marked scans run under the context discipline too (only the
-// symmetric fast path is gated off there).
-func TestHashJoinDifferentialOrderedSearch(t *testing.T) {
-	src := workload.WinGameMoves(18, 2, 3, 7) + workload.WinModule("@ordered_search.")
-	run := func(hash bool) []string {
-		sys, err := LoadSystem(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.HashJoins = hash
-		key := ast.PredKey{Name: "win", Arity: 1}
-		def, ok := sys.Export(key)
-		if !ok {
-			t.Fatal("win/1 not exported")
-		}
-		it, err := def.Call(key, []term.Term{term.Atom("p0")}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []string
-		for {
-			f, ok := it.Next()
-			if !ok {
-				return out
-			}
-			out = append(out, f.String())
-		}
-	}
-	base := run(false)
-	if got := run(true); !sameStrings(base, got) {
-		t.Errorf("hash joins changed the Ordered Search answers\noff: %v\non:  %v", base, got)
-	}
-}
-
-// TestHashJoinDifferentialPipelined covers the pipelined evaluator: the
-// toggle must be a no-op there (pipelining is tuple-at-a-time top-down),
-// and in particular must not disturb its answers.
-func TestHashJoinDifferentialPipelined(t *testing.T) {
-	src := workload.Chain(24) + workload.TCModule("@pipelining.")
-	base := hashRun(t, src, "tc", 2, 1, false)
-	if len(base) == 0 {
-		t.Fatal("pipelined program produced no answers")
-	}
-	if got := hashRun(t, src, "tc", 2, 1, true); !sameStrings(base, got) {
-		t.Errorf("hash joins changed the pipelined answers\noff: %v\non:  %v", base, got)
-	}
-}
-
-// hashMeasure runs pred/2 all-free on src and reports the engine counters.
-func hashMeasure(t *testing.T, src, pred string, parallelism int, hash bool) RunStats {
-	t.Helper()
-	sys, err := LoadSystem(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Parallelism = parallelism
-	sys.HashJoins = hash
-	stats, err := sys.MeasureCall(ast.PredKey{Name: pred, Arity: 2},
-		[]term.Term{term.NewVar("X"), term.NewVar("Y")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stats
-}
-
 // TestPlannerPicksHashJoin is the deterministic CI gate behind
 // BenchmarkE21HashJoin: on a dense transitive closure the planner must
 // adopt the hash access path (builds and probes both non-zero), keep the
-// answers identical, and attempt strictly fewer tuples than nested loops —
-// the probe enumerates one bucket instead of the range a bare scan walks.
-// @no_indexing keeps the optimizer from planting a persistent argIndex,
-// isolating the comparison to nested-loops-vs-hash; build tables are
+// answers identical, and attempt strictly fewer tuples than the reference
+// evaluator's nested loops — the probe enumerates one bucket instead of the
+// range a bare scan walks. @no_indexing keeps the optimizer from planting a
+// persistent argIndex, so the reference side scans; build tables are
 // transient per-range structures, not indexes, so the annotation does not
 // gate them.
 func TestPlannerPicksHashJoin(t *testing.T) {
@@ -140,13 +29,21 @@ tc(X, Y) :- edge(X, Y).
 tc(X, Y) :- edge(X, Z), tc(Z, Y).
 end_module.
 `
-	off := hashMeasure(t, src, "tc", 1, false)
-	on := hashMeasure(t, src, "tc", 1, true)
+	sys, err := LoadSystem(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Parallelism = 1
+	_, off, err := refCall(sys, parseGoal(t, "tc(X, Y)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, on := measureModule(t, sys, "tc", term.NewVar("X"), term.NewVar("Y"))
 	if on.Answers != off.Answers {
-		t.Fatalf("hash joins changed the answer count: on %d, off %d", on.Answers, off.Answers)
+		t.Fatalf("hash joins changed the answer count: engine %d, reference %d", on.Answers, off.Answers)
 	}
 	if off.HashJoinBuilds != 0 || off.HashJoinProbes != 0 {
-		t.Errorf("hash counters non-zero with the toggle off: %+v", off)
+		t.Errorf("hash counters non-zero on the reference evaluator: %+v", off)
 	}
 	if on.HashJoinBuilds == 0 || on.HashJoinProbes == 0 {
 		t.Fatalf("planner never adopted the hash path: %+v", on)
@@ -157,62 +54,8 @@ end_module.
 	}
 }
 
-// TestSymmetricDeltaPath pins the symmetric fast path: a doubly recursive
-// rule evaluated under sequential BSN must route through evalSymDelta
-// (probes counted), produce byte-identical answers to nested loops, and
-// agree with the parallel rounds, which use the generic per-version path.
-func TestSymmetricDeltaPath(t *testing.T) {
-	src := workload.RandomGraph(12, 30, 3) + `
-module m.
-export p(ff).
-@rewrite none.
-p(X, Y) :- edge(X, Y).
-p(X, Y) :- p(X, Z), p(Z, Y).
-end_module.
-`
-	off := hashMeasure(t, src, "p", 1, false)
-	on := hashMeasure(t, src, "p", 1, true)
-	if on.Answers != off.Answers {
-		t.Fatalf("sym path changed the answer count: on %d, off %d", on.Answers, off.Answers)
-	}
-	if on.HashJoinProbes == 0 {
-		t.Fatal("doubly recursive rule never took a hash path")
-	}
-	base := hashRun(t, src, "p", 2, 1, false)
-	for _, par := range []int{1, 4} {
-		if got := hashRun(t, src, "p", 2, par, true); !sameStrings(base, got) {
-			t.Errorf("par %d: sym path changed the answers\noff: %v\non:  %v", par, base, got)
-		}
-	}
-}
-
-// TestHashJoinChurnDifferential drives the delete-heavy shape the stats
-// fixes target: an aggregate selection displaces facts mid-evaluation, so
-// build tables must be invalidated by the mutation counter rather than
-// reused stale. Aggregated relations are excluded from hash access paths;
-// this pins that the exclusion (not luck) keeps answers identical.
-func TestHashJoinChurnDifferential(t *testing.T) {
-	src := workload.WeightedGraph(10, 30, 8, 5) + `
-module m.
-export best(ff).
-@rewrite none.
-@aggregate_selection dist(X, C) (X) min(C).
-dist(Y, C) :- edge(X, Y, C).
-dist(Y, C) :- dist(X, C1), edge(X, Y, C2), C = C1 + C2, C < 40.
-best(X, C) :- dist(X, C).
-end_module.
-`
-	base := hashRun(t, src, "best", 2, 1, false)
-	if len(base) == 0 {
-		t.Fatal("aggregate-selection program produced no answers")
-	}
-	if got := hashRun(t, src, "best", 2, 1, true); !sameStrings(base, got) {
-		t.Errorf("hash joins changed the aggregate-selection answers\noff: %v\non:  %v", base, got)
-	}
-}
-
 // TestHashJoinBudgetAbort aborts evaluations mid-hash-join — during table
-// builds (poll per fact) and during sym-path inserts (fact budget) — and
+// builds (poll per fact) and probes, and on the fact budget — and
 // checks the abort is a clean *AbortError, no goroutine outlives it, and
 // the System recovers to byte-identical answers once the budget is lifted.
 func TestHashJoinBudgetAbort(t *testing.T) {

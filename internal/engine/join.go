@@ -124,9 +124,9 @@ type evaluator struct {
 	// (bytecode.go); bcProgs caches compiled programs per rule version
 	// (nil entries mark ineligible rules), bcRO marks worker evaluators
 	// sharing the writer's cache read-only, and bc is the pooled machine
-	// state. Tracing keeps the interpreter (justifications capture live
-	// environments), as does Ordered Search (callers leave bytecode off —
-	// magic-fact attribution reads curRule/curEnv mid-emit).
+	// state. Whoever sets trace leaves bytecode false (justifications
+	// capture live environments), as does Ordered Search (magic-fact
+	// attribution reads curRule/curEnv mid-emit) — see configureEval.
 	bytecode bool
 	bcProgs  map[*Compiled]*bcProg
 	bcRO     bool
@@ -163,7 +163,7 @@ func (ev *evaluator) pollBudget() {
 // falls through to the interpreter.
 func (ev *evaluator) evalRule(c *Compiled, rr ruleRanges, emit emitFunc) error {
 	var err error
-	if ev.bytecode && ev.trace == nil && !ev.bc.busy {
+	if ev.bytecode && !ev.bc.busy {
 		if p := ev.bcFor(c); p != nil {
 			handled := false
 			ev.bc.busy = true

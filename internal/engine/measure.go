@@ -26,14 +26,14 @@ type RunStats struct {
 	FactsStored int
 	// HashJoinBuilds counts transient join build tables constructed, and
 	// HashJoinProbes the scans served from one (hash-join access paths,
-	// hashjoin.go). Both are 0 when HashJoins is off or the planner never
-	// found a profitable mark.
+	// hashjoin.go). Both are 0 when the planner never found a profitable
+	// mark.
 	HashJoinBuilds int
 	HashJoinProbes int
 	// BytecodeRuns counts rule applications executed by the register
-	// bytecode machine (bytecode.go); 0 when Bytecode is off, every rule
-	// is outside the compiled fragment, or every application's runtime
-	// prologue declined.
+	// bytecode machine (bytecode.go); 0 when every rule is outside the
+	// compiled fragment, every application's runtime prologue declined, or
+	// the evaluation is traced or under Ordered Search.
 	BytecodeRuns int
 }
 

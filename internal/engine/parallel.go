@@ -45,12 +45,11 @@ type parTask struct {
 	filter   bool
 }
 
-// workersFor decides how many workers a BSN round over st may use.
-// Ordered Search interleaves context actions with rule application, and
-// tracing records justifications on a shared log, so both force sequential
-// rounds; beyond that the stratum itself must pass the safety analysis.
+// workersFor decides how many workers a BSN round over st may use: the
+// evaluation's worker budget (configureEval), provided the stratum itself
+// passes the safety analysis.
 func (me *matEval) workersFor(st *Stratum) int {
-	if me.parallelism <= 1 || me.ctx != nil || me.ev.trace != nil {
+	if me.parallelism <= 1 {
 		return 1
 	}
 	if !me.stratumParallelSafe(st) {

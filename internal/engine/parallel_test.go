@@ -156,86 +156,6 @@ func TestParallelDisabledForAggSelections(t *testing.T) {
 	}
 }
 
-// TestFixpointStrategiesAgreeRandom is the differential property test:
-// naive, BSN, PSN, parallel-BSN and planner-off evaluation of seeded
-// random programs — recursive core plus, seed-dependently, a stratified
-// negation layer (q0) and a min aggregate selection (agg0) — must compute
-// identical answer sets for every exported predicate, and parallel BSN
-// must match sequential BSN in order, too.
-func TestFixpointStrategiesAgreeRandom(t *testing.T) {
-	defer func(old int) { parMinChunk = old }(parMinChunk)
-	parMinChunk = 4
-
-	negSeeds, aggSeeds := 0, 0
-	for seed := int64(0); seed < 12; seed++ {
-		facts := workload.RandomGraph(10, 25, seed)
-		run := func(ann string, parallelism int, planning bool) map[string][]string {
-			t.Helper()
-			sys, err := LoadSystem(facts + workload.RandomDatalogModule(seed, ann))
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			sys.Parallelism = parallelism
-			sys.JoinPlanning = planning
-			out := map[string][]string{"p0": answersInOrder(t, sys, "p0", 2)}
-			for _, pred := range []string{"q0", "agg0"} {
-				if _, ok := sys.Export(ast.PredKey{Name: pred, Arity: 2}); ok {
-					out[pred] = answersInOrder(t, sys, pred, 2)
-				}
-			}
-			return out
-		}
-		asSet := func(xs []string) map[string]bool {
-			m := make(map[string]bool, len(xs))
-			for _, x := range xs {
-				m[x] = true
-			}
-			return m
-		}
-
-		bsn := run("@rewrite none.", 1, true)
-		arms := map[string]map[string][]string{
-			"par":     run("@rewrite none.", 4, true),
-			"psn":     run("@rewrite none.\n@psn.", 1, true),
-			"naive":   run("@rewrite none.\n@naive.", 1, true),
-			"no-plan": run("@rewrite none.", 1, false),
-		}
-		if _, ok := bsn["q0"]; ok {
-			negSeeds++
-		}
-		if _, ok := bsn["agg0"]; ok {
-			aggSeeds++
-		}
-
-		for pred, want := range bsn {
-			if par := arms["par"][pred]; !sameStrings(want, par) {
-				t.Errorf("seed %d: parallel BSN diverges from sequential BSN on %s\nseq: %v\npar: %v",
-					seed, pred, want, par)
-			}
-			wantSet := asSet(want)
-			for name, got := range arms {
-				gotSet := asSet(got[pred])
-				if len(gotSet) != len(wantSet) {
-					t.Errorf("seed %d: %s answer set for %s has size %d != bsn %d",
-						seed, name, pred, len(gotSet), len(wantSet))
-					continue
-				}
-				for a := range wantSet {
-					if !gotSet[a] {
-						t.Errorf("seed %d: %s missing %s answer %s", seed, name, pred, a)
-					}
-				}
-			}
-		}
-	}
-	// The sweep must actually exercise the new layers (guards against the
-	// generator silently never emitting them).
-	if negSeeds == 0 || aggSeeds == 0 {
-		t.Fatalf("seed sweep exercised negation %d times, aggregation %d times; want both > 0",
-			negSeeds, aggSeeds)
-	}
-}
-
 // TestAggSelectionChurnTerminates is the totalFacts regression test: a
 // stratum whose rounds only produce facts that an @aggregate_selection
 // immediately prunes (rejects, or accepts and then deletes the displaced

@@ -83,13 +83,12 @@ const (
 )
 
 // planFor returns the rule to evaluate for version (c, delta): a planned
-// clone, or c itself when planning is off, unsafe, or a no-op. Tracing and
-// Ordered Search require the written order (justifications and the
-// guard-literal convention read it), so both disable planning. planFor
-// must be called from the evaluation's writer goroutine — it may create
-// relations, indexes, and cache entries.
+// clone, or c itself when the evaluation keeps the written order
+// (configureEval), or planning is unsafe or a no-op. planFor must be called
+// from the evaluation's writer goroutine — it may create relations, indexes,
+// and cache entries.
 func (me *matEval) planFor(c *Compiled, delta int) *Compiled {
-	if !me.planning || me.ctx != nil || me.ev.trace != nil || len(c.Body) < 2 {
+	if !me.planning || len(c.Body) < 2 {
 		return c
 	}
 	key := planKey{c: c, delta: delta}
@@ -321,9 +320,6 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 // splitting exactly that item's ordinal range (splitVersion). Reports
 // whether any item was marked.
 func (me *matEval) markHashItems(nc *Compiled, sched []int, stats []relation.Stats) bool {
-	if !me.hashing {
-		return false
-	}
 	marked := false
 	bound := make(map[int]bool)
 	size := 1.0

@@ -1,110 +1,10 @@
 package engine
 
 import (
-	"sort"
 	"testing"
 
-	"coral/internal/ast"
 	"coral/internal/term"
-	"coral/internal/workload"
 )
-
-// answersSorted drains a call and returns the answer strings sorted — the
-// planner guarantees identical answer sets, not identical enumeration
-// order.
-func answersSorted(t *testing.T, sys *System, pred string, arity int) []string {
-	t.Helper()
-	out := answersInOrder(t, sys, pred, arity)
-	sort.Strings(out)
-	return out
-}
-
-// planRun loads src with the given planner and parallelism settings and
-// returns the sorted answers of pred/arity.
-func planRun(t *testing.T, src, pred string, arity, parallelism int, planning bool) []string {
-	t.Helper()
-	sys, err := LoadSystem(src)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	sys.Parallelism = parallelism
-	sys.JoinPlanning = planning
-	return answersSorted(t, sys, pred, arity)
-}
-
-// TestPlannerDifferentialRandom is the planner's differential property
-// test: on seeded random mutually recursive programs, planner-on and
-// planner-off evaluation — sequential and parallel, with and without magic
-// rewriting — must compute identical answer sets. CI runs this package
-// under -race -cpu=1,4.
-func TestPlannerDifferentialRandom(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		facts := workload.RandomGraph(10, 25, seed)
-		for _, ann := range []string{"@rewrite none.", ""} {
-			src := facts + workload.RandomDatalogModule(seed, ann)
-			base := planRun(t, src, "p0", 2, 1, false)
-			for _, par := range []int{1, 4} {
-				got := planRun(t, src, "p0", 2, par, true)
-				if !sameStrings(base, got) {
-					t.Errorf("seed %d ann %q par %d: planner changed the answer set\noff: %v\non:  %v",
-						seed, ann, par, base, got)
-				}
-			}
-		}
-	}
-}
-
-// TestPlannerDifferentialNegation pins planner/written-order agreement on
-// a stratified program whose written order is a cross product feeding a
-// negation — the planner must reorder the positive literals without ever
-// evaluating "not reach(X, Y)" before both arguments are bound.
-func TestPlannerDifferentialNegation(t *testing.T) {
-	src := workload.RandomGraph(8, 12, 3) + `
-node(n0). node(n1). node(n2). node(n3).
-node(n4). node(n5). node(n6). node(n7).
-module m.
-export unreach(ff).
-@rewrite none.
-reach(X, Y) :- edge(X, Y).
-reach(X, Y) :- edge(X, Z), reach(Z, Y).
-unreach(X, Y) :- node(X), node(Y), not reach(X, Y).
-end_module.
-`
-	base := planRun(t, src, "unreach", 2, 1, false)
-	if len(base) == 0 {
-		t.Fatal("differential program produced no answers")
-	}
-	for _, par := range []int{1, 4} {
-		got := planRun(t, src, "unreach", 2, par, true)
-		if !sameStrings(base, got) {
-			t.Errorf("par %d: planner changed the answer set\noff: %v\non:  %v", par, base, got)
-		}
-	}
-}
-
-// TestPlannerDifferentialBuiltins pins planner/written-order agreement on
-// a program mixing arithmetic "=", comparisons, and recursion.
-func TestPlannerDifferentialBuiltins(t *testing.T) {
-	src := workload.WeightedGraph(10, 30, 8, 5) + `
-module m.
-export far(ff).
-@rewrite none.
-dist(X, Y, C) :- edge(X, Y, C).
-dist(X, Y, C) :- edge(X, Z, C1), dist(Z, Y, C2), C = C1 + C2, C < 40.
-far(X, Y) :- dist(X, Y, C), C > 10.
-end_module.
-`
-	base := planRun(t, src, "far", 2, 1, false)
-	if len(base) == 0 {
-		t.Fatal("differential program produced no answers")
-	}
-	for _, par := range []int{1, 4} {
-		got := planRun(t, src, "far", 2, par, true)
-		if !sameStrings(base, got) {
-			t.Errorf("par %d: planner changed the answer set\noff: %v\non:  %v", par, base, got)
-		}
-	}
-}
 
 // modeSafe reports whether every builtin and negation in the body has all
 // of its variables bound by the relation literals (plus "=" propagation)
@@ -137,6 +37,7 @@ func plannedRule(t *testing.T, src, form, head string, delta int) (*Compiled, *C
 		t.Fatalf("no program for %s (have %v)", form, def.Programs())
 	}
 	me := newMatEval(prog, sys.external)
+	me.planning = true // the planner alone, live statistics only
 	for _, st := range prog.Strata {
 		rules := append([]*Compiled{}, st.ExitRules...)
 		if delta >= 0 {
@@ -302,8 +203,8 @@ func crossProductFacts(n int) string {
 
 // TestPlannerFasterOnCrossProduct is the deterministic CI gate behind
 // BenchmarkE17JoinPlan: on the cross-product workload the planned order
-// must attempt strictly fewer tuples than the written order — by a wide
-// margin, since written is O(n²) and planned is O(n).
+// must attempt strictly fewer tuples than the written order (the reference
+// evaluator) — by a wide margin, since written is O(n²) and planned is O(n).
 func TestPlannerFasterOnCrossProduct(t *testing.T) {
 	src := crossProductFacts(160) + `
 module m.
@@ -312,22 +213,15 @@ export q(ff).
 q(X, W) :- big1(X, Y), big2(Z, W), link(Y, Z).
 end_module.
 `
-	measure := func(planning bool) RunStats {
-		t.Helper()
-		sys, err := LoadSystem(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.JoinPlanning = planning
-		stats, err := sys.MeasureCall(ast.PredKey{Name: "q", Arity: 2},
-			[]term.Term{term.NewVar("X"), term.NewVar("W")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
+	sys, err := LoadSystem(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	off := measure(false)
-	on := measure(true)
+	_, off, err := refCall(sys, parseGoal(t, "q(X, W)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, on := measureModule(t, sys, "q", term.NewVar("X"), term.NewVar("W"))
 	if on.Answers != off.Answers {
 		t.Fatalf("planner changed the answer count: on %d, off %d", on.Answers, off.Answers)
 	}

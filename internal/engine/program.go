@@ -111,8 +111,9 @@ func BuildProgramMasked(mod *ast.Module, query ast.PredKey, adorn string, mask [
 }
 
 // buildProgram is the optimizer behind the exported entry points. flowOpt
-// gates the flow-analysis-driven optimizations (System.FlowOptimization):
-// rule pruning, skip-magic, and planner seed positions.
+// applies the flow-analysis-driven optimizations — rule pruning, skip-magic,
+// planner seed positions; every installed program has them, and the
+// reference evaluator the tests compare against is built without.
 func buildProgram(mod *ast.Module, query ast.PredKey, adorn string, mask []bool, flowOpt bool) (*Program, error) {
 	ann := mod.Ann
 	rewriting := ann.Rewriting

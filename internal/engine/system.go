@@ -38,54 +38,14 @@ type System struct {
 	// callers (the epoch fence in serve keeps writers out of evaluations).
 	AutoDefineBase bool
 	// Parallelism bounds the worker pool of each BSN fixpoint round
-	// (parallel.go). 0 uses runtime.GOMAXPROCS(0); 1 forces sequential
-	// rounds. Strata whose evaluation is inherently sequential — Ordered
-	// Search, tracing, aggregate selections, module-call or computed body
-	// sources — ignore the setting and run sequentially either way.
+	// (parallel.go) — a resource bound, and the only evaluation option:
+	// every other choice of path is made by configureEval from what the
+	// evaluation can observe. 0 uses runtime.GOMAXPROCS(0); 1 forces
+	// sequential rounds. Strata whose evaluation is inherently sequential —
+	// Ordered Search, tracing, aggregate selections, module-call or computed
+	// body sources — ignore the setting and run sequentially either way.
 	// unguarded: configuration, set before concurrent use.
 	Parallelism int
-	// JoinPlanning enables the cost-based join planner (plan.go), on by
-	// default. When false every rule body is evaluated in its written
-	// order, preserving the pre-planner behavior byte for byte. Ordered
-	// Search and traced evaluations always use the written order.
-	// unguarded: configuration, set before concurrent use.
-	JoinPlanning bool
-	// HashJoins enables hash-join access paths (hashjoin.go), on by
-	// default: the planner serves repeated probes of a body literal from a
-	// transient build table pre-sized from live statistics instead of
-	// per-probe index lookups, and two-literal recursive rules take a
-	// symmetric positional fast path whose delta versions probe build
-	// tables over each other's ranges. The classic build/probe form
-	// additionally requires JoinPlanning (the planner places the marks).
-	// On and off produce identical answer sets, byte for byte.
-	// unguarded: configuration, set before concurrent use.
-	HashJoins bool
-	// FlowOptimization enables the optimizations fed by the whole-program
-	// flow analysis (analysis/flow), on by default: pruning rules
-	// unreachable from the query form, skipping magic rewriting when every
-	// reachable context is all-free, and seeding the join planner from
-	// magic literals (the carriers of inferred call bindings). When false
-	// programs are built exactly as before the analysis existed.
-	// unguarded: configuration, set before concurrent use.
-	FlowOptimization bool
-	// Bytecode compiles eligible rule bodies to adornment-specialized
-	// register bytecode (bytecode.go), on by default: the join loop runs
-	// flat opcode streams over a register file instead of interpreting
-	// CItem structures per candidate tuple, with unboxed integer
-	// arithmetic. Traced and Ordered Search evaluations always use the
-	// interpreter. On and off produce identical answers, byte for byte.
-	// unguarded: configuration, set before concurrent use.
-	Bytecode bool
-	// StaticSeeding feeds the join planner compile-time cardinality
-	// estimates (analysis/card) as a prior, on by default: body sources
-	// whose live statistics are absent (module calls, computed relations)
-	// or still empty (derived relations before their first fixpoint round)
-	// are priced from static bounds instead of blind defaults, and
-	// iteration-budget aborts carry the statically proven round bound as a
-	// hint. Live statistics take over as relations fill (plan drift
-	// invalidation). On and off produce identical answer sets.
-	// unguarded: configuration, set before concurrent use.
-	StaticSeeding bool
 	// Ctx, when non-nil, is polled during evaluation; cancellation aborts
 	// the running call with an *AbortError. The single-user interactive
 	// system makes a stored context the natural shape: the REPL arms it
@@ -103,15 +63,10 @@ type System struct {
 // NewSystem creates an empty system.
 func NewSystem() *System {
 	return &System{
-		base:             make(map[ast.PredKey]relation.Relation),
-		exports:          make(map[ast.PredKey]*ModuleDef),
-		modules:          make(map[string]*ModuleDef),
-		AutoDefineBase:   true,
-		JoinPlanning:     true,
-		HashJoins:        true,
-		FlowOptimization: true,
-		Bytecode:         true,
-		StaticSeeding:    true,
+		base:           make(map[ast.PredKey]relation.Relation),
+		exports:        make(map[ast.PredKey]*ModuleDef),
+		modules:        make(map[string]*ModuleDef),
+		AutoDefineBase: true,
 	}
 }
 
@@ -172,7 +127,7 @@ func (sys *System) Bases(fn func(ast.PredKey, relation.Relation)) {
 // query form, and the save-module state (paper §5.4.2).
 type ModuleDef struct {
 	Src *ast.Module // unguarded: immutable after install
-	sys *System    // unguarded: immutable after install
+	sys *System     // unguarded: immutable after install
 
 	// mu guards the lazily grown caches below (progs, staticEst): module
 	// calls from concurrent read-only evaluations (View) compile
@@ -235,7 +190,7 @@ func (sys *System) AddModule(m *ast.Module) error {
 				if _, ok := def.progs[formKey(e.Pred, form)]; ok {
 					continue
 				}
-				prog, err := buildProgram(m, key, form, nil, sys.FlowOptimization)
+				prog, err := buildProgram(m, key, form, nil, true)
 				if err != nil {
 					return fmt.Errorf("module %s, query form %s(%s): %w", m.Name, e.Pred, form, err)
 				}
@@ -468,16 +423,58 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 	return scan, nil
 }
 
-// configureEval re-applies the system toggles and the caller's guard to an
-// evaluation — on every call, so saved evaluations follow later changes.
+// configureEval is the one place that decides how an evaluation's rule
+// versions run; everything else reads the flags it sets. It runs on every
+// call, so a saved evaluation follows the caller's guard and worker budget.
+// The selection, from what the evaluation can observe:
+//
+//	observed                                  path
+//	----------------------------------------  ---------------------------------
+//	Ordered Search context, or tracing        reference: written order, index
+//	  (ExplainCall builds its evaluation        lookups, interpreter, one
+//	  bare and never comes here)                worker — magic-fact attribution
+//	                                            and justifications read the
+//	                                            written rule and live envs
+//	otherwise                                 planned order per rule version
+//	                                            from live statistics, static
+//	                                            estimates where those are cold
+//	                                            (planFor, staticSeeder)
+//	  item reached by ≥ 8 estimated probes    hash build/probe instead of
+//	  that amortize a build, plain hash         per-probe index lookup
+//	  relation, no aggregate selection          (markHashItems)
+//	  rule in the compiled fragment, hash     register bytecode; anything else
+//	  sources, ground scan ranges               interpreted, per rule version
+//	                                            (bcFor, runBC's prologue)
+//	  BSN stratum over hash/list relations,   System.Parallelism workers per
+//	  no aggregate selections in the program    round; anything else one
+//	                                            (workersFor)
+//	concurrent read-only caller (sharedRO)    plan indexes only on the
+//	                                            evaluation's own relations
+//
+// The zero-valued flags of a bare newMatEval are the reference row.
 func (def *ModuleDef) configureEval(me *matEval, cfg callCfg, prog *Program) {
-	me.parallelism = def.sys.fixpointWorkers()
-	me.planning = def.sys.JoinPlanning
-	me.hashing = def.sys.HashJoins
-	me.ev.bytecode = def.sys.Bytecode && me.ctx == nil
-	me.seed = def.sys.seederFor(prog)
+	reference := me.ctx != nil || me.ev.trace != nil
+	me.planning = !reference
+	me.ev.bytecode = !reference
+	me.parallelism = 1
+	if !reference {
+		me.parallelism = def.sys.fixpointWorkers()
+	}
+	me.seed = &staticSeeder{sys: def.sys, prog: prog}
 	me.sharedRO = cfg.sharedRO
 	me.setGuard(cfg.guard())
+}
+
+// newQueryEvaluator is configureEval's counterpart for a top-level
+// conjunctive query (System.Query, View.Query): one untraced rule over
+// external sources, so the bytecode machine when the rule is in the compiled
+// fragment and the interpreter otherwise.
+func newQueryEvaluator(st *store, guard *budgetGuard) *evaluator {
+	ev := &evaluator{st: st, IntelligentBacktracking: true, bytecode: true}
+	if guard.active() {
+		ev.guard = guard
+	}
+	return ev
 }
 
 // newAnswerScan builds the answer iterator for one call, projecting the
@@ -555,7 +552,7 @@ func (def *ModuleDef) progForCall(pred ast.PredKey, form string, args []term.Ter
 	def.mu.Unlock()
 	// Compile outside the lock (two racing callers may both build; the
 	// first store wins and the duplicate is dropped).
-	p, err := buildProgram(def.Src, pred, form, mask, def.sys.FlowOptimization)
+	p, err := buildProgram(def.Src, pred, form, mask, true)
 	if err != nil {
 		// Projection is an optimization; fall back to the base program.
 		return base, nil
@@ -739,10 +736,7 @@ func (sys *System) Query(body []ast.Literal) (vars []string, facts []Fact, err e
 	}
 	st := newStore(sys.external, nil)
 	guard := sys.newGuard()
-	ev := &evaluator{st: st, IntelligentBacktracking: true, bytecode: sys.Bytecode}
-	if guard.active() {
-		ev.guard = &guard
-	}
+	ev := newQueryEvaluator(st, &guard)
 	dedup := relation.NewHashRelation("$query", len(headArgs))
 	err = ev.evalRule(c, fullRanges, func(f Fact) bool {
 		if dedup.Insert(f) {

@@ -233,10 +233,7 @@ func (v *View) Query(body []ast.Literal) (vars []string, facts []Fact, stats Run
 	}
 	st := newStore(v.externalWith(acc), nil)
 	guard := v.newGuard()
-	ev := &evaluator{st: st, IntelligentBacktracking: true, bytecode: v.sys.Bytecode}
-	if guard.active() {
-		ev.guard = &guard
-	}
+	ev := newQueryEvaluator(st, &guard)
 	dedup := relation.NewHashRelation("$query", len(headArgs))
 	err = ev.evalRule(c, fullRanges, func(f Fact) bool {
 		if dedup.Insert(f) {

@@ -10,11 +10,12 @@ import (
 	"coral/internal/workload"
 )
 
-// Differential serving test: for every fixpoint strategy and engine
-// toggle combination, eight concurrent clients hammering a shared server
-// must get exactly the answers a fresh single-threaded coral.System
-// computes for the same program — concurrency, snapshot sessions, hash
-// joins, bytecode and parallel fixpoints must not change one tuple.
+// Differential serving test: for every fixpoint strategy, sequential and
+// parallel, eight concurrent clients hammering a shared server must get
+// exactly the answers a fresh single-threaded coral.System computes for the
+// same program — concurrency, snapshot sessions and parallel fixpoints must
+// not change one tuple. (The engine's own paths are held to the reference
+// evaluator in internal/engine/diff_test.go.)
 
 // diffQueries mixes bound and free recursive queries with base joins.
 func diffQueries() []string {
@@ -28,8 +29,8 @@ func diffQueries() []string {
 }
 
 // referenceAnswers evaluates the queries on a fresh single-threaded
-// system with default toggles — the canonical answer set every serving
-// configuration is held to.
+// system — the canonical answer set every serving configuration is held
+// to.
 func referenceAnswers(t *testing.T, program string, queries []string) map[string][][]string {
 	t.Helper()
 	sys := coral.New()
@@ -79,15 +80,10 @@ func TestDifferentialServing(t *testing.T) {
 				}
 			}
 		}
-		for _, hashJoins := range []bool{false, true} {
-			for _, bytecode := range []bool{false, true} {
-				for _, par := range []int{1, 4} {
-					name := fmt.Sprintf("%s/hash=%v/bc=%v/par=%d", strat.name, hashJoins, bytecode, par)
-					t.Run(name, func(t *testing.T) {
-						runServingDiff(t, stratProgram, queries, stratWant, hashJoins, bytecode, par)
-					})
-				}
-			}
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/par=%d", strat.name, par), func(t *testing.T) {
+				runServingDiff(t, stratProgram, queries, stratWant, par)
+			})
 		}
 	}
 }
@@ -95,10 +91,8 @@ func TestDifferentialServing(t *testing.T) {
 // runServingDiff serves one configured system to 8 concurrent clients
 // (half in snapshot sessions, half one-shot) and checks every response
 // against the reference answers.
-func runServingDiff(t *testing.T, program string, queries []string, want map[string][][]string, hashJoins, bytecode bool, parallelism int) {
+func runServingDiff(t *testing.T, program string, queries []string, want map[string][][]string, parallelism int) {
 	sys := coral.New()
-	sys.SetHashJoins(hashJoins)
-	sys.SetBytecode(bytecode)
 	sys.SetParallelism(parallelism)
 	if _, err := sys.Consult(program); err != nil {
 		t.Fatalf("consult: %v", err)

@@ -16,15 +16,6 @@ import (
 // a "lint:allow scanloop — <reason>" annotation on or immediately above
 // the for statement.
 //
-// A loop that drains a composed operator pipeline (the streaming hash-join
-// layer, operator.go) is also accepted when the pipeline itself carries a
-// poll hook: the drained identifier must trace, through the assignments of
-// its enclosing function, to a construction that mentions poll/pollBudget —
-// e.g. a scanOp built with poll: ev.pollBudget and then wrapped in
-// hashJoinOp/projectOp stages. Every tuple such a pipeline yields already
-// passed the source's amortized check, so a second poll at the drain would
-// be redundant. A pipeline composed without any hook stays a violation.
-//
 // Only the engine package is checked: budgetGuard is engine-internal,
 // and iterators elsewhere (relation scans in tests, tooling) have no
 // budget to poll.
@@ -33,10 +24,9 @@ var budgetpollAnalyzer = &analysis.Analyzer{
 	Doc: `require an amortized budget poll in engine iterator-scan loops
 
 A for loop calling .Next() in package engine must also call poll or
-pollBudget (the amortized budgetGuard checks) somewhere in its body,
-drain an operator pipeline whose construction carries one of those poll
-hooks, or be annotated "lint:allow scanloop — <reason>" when the scanned
-state is provably bounded (materialized answers, one stored relation).`,
+pollBudget (the amortized budgetGuard checks) somewhere in its body, or
+be annotated "lint:allow scanloop — <reason>" when the scanned state is
+provably bounded (materialized answers, one stored relation).`,
 	Run: runBudgetpoll,
 }
 
@@ -49,11 +39,9 @@ func runBudgetpoll(pass *analysis.Pass) (interface{}, error) {
 	}
 	for _, file := range pass.Files {
 		allowed := allowedLines(pass.Fset, file, "lint:allow scanloop")
-		// Innermost enclosing loop per .Next() call, plus that loop's
-		// enclosing function (for the self-polling pipeline check): walk
-		// with an explicit ancestor stack (Inspect reports post-order as
-		// nil).
-		flagged := map[*ast.ForStmt]ast.Node{}
+		// Innermost enclosing loop per .Next() call: walk with an explicit
+		// ancestor stack (Inspect reports post-order as nil).
+		flagged := map[*ast.ForStmt]bool{}
 		var stack []ast.Node
 		ast.Inspect(file, func(n ast.Node) bool {
 			if n == nil {
@@ -69,19 +57,16 @@ func runBudgetpoll(pass *analysis.Pass) (interface{}, error) {
 			if !ok || sel.Sel.Name != "Next" {
 				return true
 			}
-			if loop, i := innermostLoop(stack[:len(stack)-1]); loop != nil {
-				flagged[loop] = enclosingFunc(stack[:i])
+			if loop := innermostLoop(stack[:len(stack)-1]); loop != nil {
+				flagged[loop] = true
 			}
 			return true
 		})
-		for loop, fn := range flagged {
+		for loop := range flagged {
 			if loopPolls(loop) || allowed[pass.Fset.Position(loop.For).Line] {
 				continue
 			}
-			if drainsSelfPollingPipeline(loop, fn) {
-				continue
-			}
-			pass.Reportf(loop.For, "iterator scan loop without an amortized budget poll: call pollBudget/poll in the loop, drain a pipeline built with a poll hook, or annotate a bounded scan with \"lint:allow scanloop — <reason>\"")
+			pass.Reportf(loop.For, "iterator scan loop without an amortized budget poll: call pollBudget/poll in the loop, or annotate a bounded scan with \"lint:allow scanloop — <reason>\"")
 		}
 	}
 	return nil, nil
@@ -90,172 +75,17 @@ func runBudgetpoll(pass *analysis.Pass) (interface{}, error) {
 // innermostLoop scans the ancestor stack for the nearest enclosing for
 // statement, stopping at a function literal boundary: a .Next() inside a
 // closure is driven by whoever calls the closure, not by the loop that
-// happens to lexically surround its definition. It returns the loop and
-// its stack index so the caller can locate the loop's enclosing function.
-func innermostLoop(ancestors []ast.Node) (*ast.ForStmt, int) {
+// happens to lexically surround its definition.
+func innermostLoop(ancestors []ast.Node) *ast.ForStmt {
 	for i := len(ancestors) - 1; i >= 0; i-- {
 		switch a := ancestors[i].(type) {
 		case *ast.ForStmt:
-			return a, i
+			return a
 		case *ast.FuncLit:
-			return nil, -1
-		}
-	}
-	return nil, -1
-}
-
-// enclosingFunc returns the nearest function declaration or literal in the
-// ancestor stack — the scope whose assignments the self-polling pipeline
-// check traces through.
-func enclosingFunc(ancestors []ast.Node) ast.Node {
-	for i := len(ancestors) - 1; i >= 0; i-- {
-		switch ancestors[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return ancestors[i]
+			return nil
 		}
 	}
 	return nil
-}
-
-// drainsSelfPollingPipeline reports whether every iterator the loop drains
-// is a locally composed pipeline that carries a budget poll hook. The check
-// is purely syntactic and deliberately conservative: each zero-arg .Next()
-// receiver in the loop body must be a plain identifier, and that identifier
-// must be assigned, within the enclosing function, from an expression that
-// mentions poll/pollBudget — directly (scanOp{..., poll: ev.pollBudget},
-// newHashJoinOp(..., ev.pollBudget)) or through another identifier already
-// established as self-polling (projectOp{in: join} wrapping such a join).
-// Anything else — a parameter, a field access, a pipeline built without a
-// hook — fails the check and the loop is reported as before.
-func drainsSelfPollingPipeline(loop *ast.ForStmt, fn ast.Node) bool {
-	if fn == nil {
-		return false
-	}
-	recvs := drainedIdents(loop)
-	if recvs == nil {
-		return false
-	}
-	polling := selfPollingIdents(fn)
-	for name := range recvs {
-		if !polling[name] {
-			return false
-		}
-	}
-	return true
-}
-
-// drainedIdents collects the receiver identifiers of the zero-arg .Next()
-// calls in the loop body, respecting closure boundaries. It returns nil if
-// the loop drains no iterator or any receiver is not a plain identifier —
-// both make the self-polling trace inapplicable.
-func drainedIdents(loop *ast.ForStmt) map[string]bool {
-	recvs := map[string]bool{}
-	ok := true
-	ast.Inspect(loop.Body, func(n ast.Node) bool {
-		if !ok {
-			return false
-		}
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		call, isCall := n.(*ast.CallExpr)
-		if !isCall || len(call.Args) != 0 {
-			return true
-		}
-		sel, isSel := call.Fun.(*ast.SelectorExpr)
-		if !isSel || sel.Sel.Name != "Next" {
-			return true
-		}
-		if id, isIdent := sel.X.(*ast.Ident); isIdent {
-			recvs[id.Name] = true
-		} else {
-			ok = false
-		}
-		return true
-	})
-	if !ok || len(recvs) == 0 {
-		return nil
-	}
-	return recvs
-}
-
-// selfPollingIdents computes, to a fixpoint over fn's assignments, the set
-// of identifiers whose value carries a budget poll hook: the right-hand
-// side mentions poll/pollBudget, or mentions an identifier already in the
-// set. Multi-value assignments taint every left-hand name — conservative
-// in the accepting direction only when the hook really is on the RHS.
-func selfPollingIdents(fn ast.Node) map[string]bool {
-	type binding struct {
-		name string
-		rhs  []ast.Expr
-	}
-	var bindings []binding
-	ast.Inspect(fn, func(n ast.Node) bool {
-		switch a := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range a.Lhs {
-				id, isIdent := lhs.(*ast.Ident)
-				if !isIdent || id.Name == "_" {
-					continue
-				}
-				rhs := a.Rhs
-				if len(a.Lhs) == len(a.Rhs) {
-					rhs = a.Rhs[i : i+1]
-				}
-				bindings = append(bindings, binding{id.Name, rhs})
-			}
-		case *ast.ValueSpec:
-			for _, lhs := range a.Names {
-				if lhs.Name != "_" && len(a.Values) > 0 {
-					bindings = append(bindings, binding{lhs.Name, a.Values})
-				}
-			}
-		}
-		return true
-	})
-	polling := map[string]bool{}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range bindings {
-			if polling[b.name] {
-				continue
-			}
-			for _, e := range b.rhs {
-				if mentionsPoll(e, polling) {
-					polling[b.name] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return polling
-}
-
-// mentionsPoll reports whether expr contains an identifier or selector
-// naming a poll entry point, or an identifier already known self-polling.
-// Composite-literal keys and selector field names are not evidence — only
-// values and selector bases are inspected, so scanOp{poll: nil} does not
-// count as hooked.
-func mentionsPoll(expr ast.Expr, polling map[string]bool) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch e := n.(type) {
-		case *ast.Ident:
-			found = pollNames[e.Name] || polling[e.Name]
-		case *ast.KeyValueExpr:
-			found = mentionsPoll(e.Value, polling)
-			return false
-		case *ast.SelectorExpr:
-			found = pollNames[e.Sel.Name] || mentionsPoll(e.X, polling)
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // loopPolls reports whether the loop body contains a call to one of the

@@ -24,28 +24,22 @@ func lintOut(t *testing.T, dirs ...string) (int, []string) {
 	return code, lines
 }
 
-// TestBudgetpollSeededViolation: the fixture's two unpolled scan loops —
-// a raw iterator drain and a pipeline composed without a poll hook — are
-// flagged; the polled, annotated, single-shot, closure and hooked-pipeline
-// shapes are not.
+// TestBudgetpollSeededViolation: the fixture's one unpolled scan loop is
+// flagged; the polled, annotated, single-shot and closure shapes are not.
 func TestBudgetpollSeededViolation(t *testing.T) {
 	code, lines := lintOut(t, "testdata/src/budgetpoll")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (findings)", code)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("want exactly the two seeded violations, got:\n%s", strings.Join(lines, "\n"))
+	if len(lines) != 1 {
+		t.Fatalf("want exactly the seeded violation, got:\n%s", strings.Join(lines, "\n"))
 	}
-	for _, f := range lines {
-		if !strings.Contains(f, "[budgetpoll]") || !strings.Contains(f, "budget poll") {
-			t.Errorf("finding lacks analyzer tag or message: %s", f)
-		}
+	f := lines[0]
+	if !strings.Contains(f, "[budgetpoll]") || !strings.Contains(f, "budget poll") {
+		t.Errorf("finding lacks analyzer tag or message: %s", f)
 	}
-	if !strings.Contains(lines[0], "bad.go:20:") {
-		t.Errorf("first finding not at the raw unpolled loop (bad.go:20): %s", lines[0])
-	}
-	if !strings.Contains(lines[1], "bad.go:105:") {
-		t.Errorf("second finding not at the unhooked pipeline drain (bad.go:105): %s", lines[1])
+	if !strings.Contains(f, "bad.go:20:") {
+		t.Errorf("finding not at the seeded loop (bad.go:20): %s", f)
 	}
 }
 
@@ -231,11 +225,11 @@ func TestGuardannotFixture(t *testing.T) {
 // directory order given on the command line.
 func TestFindingsSorted(t *testing.T) {
 	code, lines := lintOut(t, "testdata/src/paniccheck", "testdata/src/errwrap", "testdata/src/budgetpoll")
-	if code != 1 || len(lines) != 6 {
+	if code != 1 || len(lines) != 5 {
 		t.Fatalf("exit %d, findings:\n%s", code, strings.Join(lines, "\n"))
 	}
 	want := []string{
-		"budgetpoll/bad.go:20:", "budgetpoll/bad.go:105:",
+		"budgetpoll/bad.go:20:",
 		"errwrap/bad.go:11:", "errwrap/bad.go:27:", "errwrap/bad.go:31:",
 		"paniccheck/bad.go:11:",
 	}

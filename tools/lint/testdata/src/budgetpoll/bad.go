@@ -1,7 +1,7 @@
 // Package engine is a lint fixture: the budgetpoll analyzer only fires
-// on the engine package, where budgetGuard lives. Exactly two loops below
-// violate the rule (a raw unpolled drain and an unhooked pipeline drain);
-// the rest exercise the accepted shapes.
+// on the engine package, where budgetGuard lives. Exactly one loop below
+// violates the rule (a raw unpolled drain); the rest exercise the accepted
+// shapes.
 package engine
 
 type iter struct{}
@@ -66,47 +66,4 @@ func closureScan(it iter) func() bool {
 		step = func() bool { _, ok := it.Next(); return ok }
 	}
 	return step
-}
-
-// pipeSrc and pipeStage model the streaming operator layer (operator.go):
-// a source that runs a poll hook per tuple and a stage that wraps it.
-type pipeSrc struct{ poll func() }
-
-func (s *pipeSrc) Next() (int, bool) { s.poll(); return 0, false }
-
-type pipeStage struct{ in *pipeSrc }
-
-func (p *pipeStage) Next() (int, bool) { return p.in.Next() }
-
-// drainHookedPipeline is the sanctioned pipeline shape: the drained
-// identifier traces through the function's assignments to a construction
-// carrying the guard's poll hook, so the drain itself needs no poll —
-// every tuple it yields already passed the source's check.
-func drainHookedPipeline(g guard) int {
-	scan := &pipeSrc{poll: g.pollBudget}
-	proj := &pipeStage{in: scan}
-	n := 0
-	for {
-		_, ok := proj.Next()
-		if !ok {
-			return n
-		}
-		n++
-	}
-}
-
-// drainUnhookedPipeline is the second seeded violation: the pipeline was
-// composed without any poll hook (a nil-keyed literal is not evidence), so
-// draining it is as unbounded as a raw iterator scan.
-func drainUnhookedPipeline() int {
-	scan := &pipeSrc{poll: nil}
-	proj := &pipeStage{in: scan}
-	n := 0
-	for {
-		_, ok := proj.Next()
-		if !ok {
-			return n
-		}
-		n++
-	}
 }
