@@ -1,6 +1,7 @@
 package coral
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"os"
@@ -564,5 +565,44 @@ func TestRelationMakeIndexAPI(t *testing.T) {
 	}
 	if _, err := cr.Delete(Int(0)); err == nil {
 		t.Error("Delete on non-deleter allowed")
+	}
+}
+
+// TestPointQueryAllocBudget is the tripwire for per-call set-up creeping
+// back into the request path. The shape is what bench/'s serve workloads
+// query — one 4-node circulant component of edge/2 (i → i+1, i+2), the index
+// a read-only session cannot build for itself, and the tc module — so a
+// bound tc(c, X) is a four-answer fixpoint and nearly every allocation it
+// makes is fixed cost (parse, View, magic seed, round schedule, plan
+// choice). Allocations repeat exactly — 341 when the round schedule and the
+// plan memo went in (EXPERIMENTS.md E25), 463 before — and the ceiling is
+// 10 % above that: re-adding per-round maps or a per-call clone-and-compile
+// of the planned rules goes well past it.
+func TestPointQueryAllocBudget(t *testing.T) {
+	const ceiling = 375
+	var src strings.Builder
+	for i := 0; i < 4; i++ {
+		fmt.Fprintf(&src, "edge(%d, %d). edge(%d, %d).\n", i, (i+1)%4, i, (i+2)%4)
+	}
+	src.WriteString(`@make_index edge(X, Y) (X).
+		module tc.
+		export tc(bf, ff).
+		tc(X, Y) :- edge(X, Y).
+		tc(X, Y) :- edge(X, Z), tc(Z, Y).
+		end_module.`)
+	sys := New()
+	if _, err := sys.Consult(src.String()); err != nil {
+		t.Fatal(err)
+	}
+	se := sys.NewSession()
+	query := func() {
+		ans, err := se.Query(context.Background(), "tc(0, X)")
+		if err != nil || len(ans.Tuples) != 4 {
+			t.Fatalf("tc(0, X): %v, %v", ans, err)
+		}
+	}
+	query() // warm the query form's plan memo
+	if got := testing.AllocsPerRun(200, query); got > ceiling {
+		t.Errorf("Session.Query(tc(0, X)) allocates %.0f objects, budget %d", got, ceiling)
 	}
 }

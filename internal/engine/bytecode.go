@@ -593,16 +593,8 @@ func (ev *evaluator) bcOpenScan(p *bcProg, it *bcItem, pos int, rr ruleRanges, f
 		fr.iter = fr.src.Lookup(pat, env)
 		return
 	}
-	last := rr.Last[ci.Pred]
-	now := rr.Now[ci.Pred]
-	switch {
-	case ci.OrigPos == rr.DeltaPos:
-		fr.iter = fr.src.LookupRange(pat, env, last, now)
-	case ci.OrigPos < rr.DeltaPos:
-		fr.iter = fr.src.LookupRange(pat, env, 0, last)
-	default:
-		fr.iter = fr.src.LookupRange(pat, env, 0, now)
-	}
+	from, to := scanBounds(ci, rr, fr.src)
+	fr.iter = fr.src.LookupRange(pat, env, from, to)
 }
 
 // bcHasMatch is the negation probe over a ground pattern, mirroring

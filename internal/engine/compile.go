@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"coral/internal/analysis"
 	"coral/internal/ast"
@@ -82,6 +83,10 @@ type CItem struct {
 	// (nothing is bound there, and the parallel round splits that item's
 	// ordinal range across tasks).
 	HashKeyPos []int
+	// Slot is the index of a Recursive item's predicate in its stratum's
+	// predicate table (Stratum.Table): semi-naive marks live in slices indexed
+	// by it (ruleRanges, roundSched) rather than in maps keyed by predicate.
+	Slot int
 }
 
 // CAgg is a compiled head aggregation.
@@ -108,6 +113,21 @@ type Compiled struct {
 	// the query form's inferred call bindings — or -1. Full-extent plan
 	// versions seed their join schedule from it (plan.go).
 	SeedPos int
+	// HeadSlot is HeadPred's index in the stratum's predicate table.
+	HeadSlot int
+	// bc is the rule's register-bytecode program, compiled by the first
+	// evaluator that runs the rule on the machine (program) and shared by
+	// every later one: once per written rule or memoised plan, however many
+	// calls, sessions and pool workers run it.
+	bcOnce sync.Once
+	bc     *bcProg
+}
+
+// program returns the rule's bytecode program, or nil when the rule is
+// outside the compiled fragment and stays interpreted.
+func (c *Compiled) program() *bcProg {
+	c.bcOnce.Do(func() { c.bc, _ = compileBC(c) })
+	return c.bc
 }
 
 // String renders the compiled rule for debugging and the rewritten-program

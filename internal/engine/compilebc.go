@@ -18,31 +18,6 @@ import (
 // arithmetic, comparisons and ground-pattern negation, which is where the
 // per-tuple win lives.
 
-// bcCacheMax bounds the per-evaluator compiled-program cache. Synthetic
-// rules (aggregate grouping, one-shot queries) can churn Compiled
-// pointers; a full cache is dropped wholesale, like the build-table cache.
-const bcCacheMax = 512
-
-// bcFor returns the bytecode program for c, compiling on first use. nil
-// means ineligible — or a read-only cache miss on a parallel worker, which
-// falls back to the interpreter rather than write a shared map.
-func (ev *evaluator) bcFor(c *Compiled) *bcProg {
-	if p, ok := ev.bcProgs[c]; ok {
-		return p
-	}
-	if ev.bcRO {
-		return nil
-	}
-	if ev.bcProgs == nil {
-		ev.bcProgs = make(map[*Compiled]*bcProg)
-	} else if len(ev.bcProgs) >= bcCacheMax {
-		clear(ev.bcProgs)
-	}
-	p, _ := compileBC(c)
-	ev.bcProgs[c] = p
-	return p
-}
-
 // bcCompiler interns constants and functor shapes while lowering one rule.
 type bcCompiler struct {
 	p     *bcProg

@@ -314,36 +314,52 @@ end_module.
 	}
 }
 
-// TestSequentialAndParallelTakeOnePath: a doubly recursive rule runs the
-// same planned per-version path whether its rounds run on one worker or
-// four, so the work counters agree. (HashJoinBuilds may differ — parallel
-// rounds prebuild on the writer — and is not compared.)
-func TestSequentialAndParallelTakeOnePath(t *testing.T) {
-	src := workload.RandomGraph(96, 480, 1) + `
-module m.
-export p(ff).
-@rewrite none.
-p(X, Y) :- edge(X, Y).
-p(X, Y) :- p(X, Z), p(Z, Y).
-end_module.
-`
-	measure := func(par int) RunStats {
-		sys, err := LoadSystem(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Parallelism = par
-		_, stats := measureModule(t, sys, "p", term.NewVar("X"), term.NewVar("Y"))
-		return stats
-	}
-	seq, par := measure(1), measure(4)
-	if par.ParallelRounds == 0 {
-		t.Fatalf("Parallelism 4 ran no round on the worker pool: %+v", par)
-	}
-	if seq.HashJoinProbes == 0 {
-		t.Fatalf("the planner never hash-marked the dense doubly recursive rule: %+v", seq)
-	}
-	if seq.Attempts != par.Attempts || seq.Derivations != par.Derivations || seq.HashJoinProbes != par.HashJoinProbes {
-		t.Errorf("sequential and parallel rounds did different work\npar 1: %+v\npar 4: %+v", seq, par)
+// TestMixedRoundsByteIdentical: dispatch is by round size, so one closure at
+// Parallelism 4 runs its fat early rounds on the worker pool and its thin
+// tail round inline (the left-linear shape; every round of the dense doubly
+// recursive one is fat) — and must still do exactly what Parallelism 1
+// does. A rule version runs the same planned path on either side of the
+// dispatch, so the work counters agree and the answer stream is identical.
+// (HashJoinBuilds may differ — pool rounds prebuild on the writer — and is
+// not compared.)
+func TestMixedRoundsByteIdentical(t *testing.T) {
+	for _, shape := range []struct {
+		name, rule string
+		mixed      bool
+	}{
+		{"doubly-recursive", "p(X, Y) :- p(X, Z), p(Z, Y).", false},
+		{"left-linear", "p(X, Y) :- p(X, Z), edge(Z, Y).", true},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			src := workload.RandomGraph(96, 480, 1) + "\nmodule m.\nexport p(ff).\n@rewrite none.\np(X, Y) :- edge(X, Y).\n" + shape.rule + "\nend_module.\n"
+			load := func(par int) *System {
+				sys, err := LoadSystem(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.Parallelism = par
+				return sys
+			}
+			measure := func(par int) RunStats {
+				_, stats := measureModule(t, load(par), "p", term.NewVar("X"), term.NewVar("Y"))
+				return stats
+			}
+			seq, par := measure(1), measure(4)
+			if seq.ParallelRounds != 0 || par.ParallelRounds == 0 {
+				t.Fatalf("pool rounds: %d at Parallelism 1 (want none), %d at 4 (want some)", seq.ParallelRounds, par.ParallelRounds)
+			}
+			if shape.mixed && par.ParallelRounds >= par.Iterations {
+				t.Fatalf("all %d rounds ran on the worker pool; the thin tail should run inline", par.Iterations)
+			}
+			if seq.HashJoinProbes == 0 {
+				t.Fatalf("the planner never hash-marked the recursive rule: %+v", seq)
+			}
+			if seq.Attempts != par.Attempts || seq.Derivations != par.Derivations || seq.HashJoinProbes != par.HashJoinProbes {
+				t.Errorf("the dispatch changed the work done\npar 1: %+v\npar 4: %+v", seq, par)
+			}
+			if a, b := answersInOrder(t, load(1), "p", 2), answersInOrder(t, load(4), "p", 2); !sameStrings(a, b) {
+				t.Errorf("the dispatch changed the answer stream (%d vs %d answers)", len(a), len(b))
+			}
+		})
 	}
 }

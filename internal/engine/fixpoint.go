@@ -28,22 +28,20 @@ type matEval struct {
 	finished    bool
 	inStep      bool
 
-	// lastMarks[rule][pred] is the mark up to which this rule has consumed
-	// the predicate's relation (general semi-naive bookkeeping).
-	lastMarks map[*Compiled]map[ast.PredKey]relation.Mark
+	// scheds[i] is stratum i's round schedule — resolved relations, rule
+	// versions, per-rule consumption marks (general semi-naive bookkeeping) —
+	// built when the stratum is first entered (sched).
+	scheds []*roundSched
 
-	ctx      *osContext // Ordered Search context; nil otherwise
-	exitDone map[*Stratum]bool
+	ctx *osContext // Ordered Search context; nil otherwise
 
 	// The path flags below (and ev.bytecode) are set in one place,
 	// ModuleDef.configureEval, and only read elsewhere. Their zero values are
 	// the reference evaluator: written order, index lookups, the
 	// interpreter, one worker, no static estimates.
 
-	// parallelism is the worker budget for BSN rounds (<= 1: sequential);
-	// parSafe caches the per-stratum parallel-safety analysis (parallel.go).
+	// parallelism is the worker budget for BSN rounds (<= 1: sequential).
 	parallelism int
-	parSafe     map[*Stratum]bool
 
 	// planning runs rule versions on the cost-based join planner's schedule
 	// (plan.go), hash build/probe marks included (hashjoin.go); plans caches
@@ -76,10 +74,7 @@ type matEval struct {
 }
 
 func newMatEval(prog *Program, external func(ast.PredKey) (Source, error)) *matEval {
-	me := &matEval{
-		prog:      prog,
-		lastMarks: make(map[*Compiled]map[ast.PredKey]relation.Mark),
-	}
+	me := &matEval{prog: prog, scheds: make([]*roundSched, len(prog.Strata))}
 	me.st = newStore(external, prog.configureRelation)
 	me.st.isLocal = func(k ast.PredKey) bool { return prog.LocalPreds[k] }
 	me.ev = &evaluator{st: me.st, IntelligentBacktracking: !prog.Ann.ChronologicalBacktracking}
@@ -188,18 +183,15 @@ func (me *matEval) insert(pred ast.PredKey, f Fact) bool {
 }
 
 // dupRel returns the relation the evaluator's duplicate probe should
-// consult for rules deriving pred, or nil when skipping duplicate emits
+// consult for rules deriving into head, or nil when skipping duplicate emits
 // could be observed: Ordered Search defers availability to the context,
 // tracing records one justification per derivation, and multisets admit
 // duplicates.
-func (me *matEval) dupRel(pred ast.PredKey) *relation.HashRelation {
-	if me.ctx != nil || me.ev.trace != nil {
+func (me *matEval) dupRel(head *relation.HashRelation) *relation.HashRelation {
+	if me.ctx != nil || me.ev.trace != nil || head.Multiset {
 		return nil
 	}
-	if hr := me.st.rel(pred); hr != nil && !hr.Multiset {
-		return hr
-	}
-	return nil
+	return head
 }
 
 // currentCaller identifies the subgoal whose rule instantiation is emitting
@@ -266,10 +258,10 @@ func (me *matEval) step() {
 		me.finished = true
 		return
 	}
-	st := me.prog.Strata[me.stratumIdx]
+	rs := me.sched()
 	if !me.initialized {
-		me.initStratum(st)
-		if !st.Recursive {
+		me.initStratum(rs)
+		if !rs.st.Recursive {
 			// A non-recursive stratum is complete after its single pass.
 			me.advanceStratum()
 			return
@@ -279,11 +271,11 @@ func (me *matEval) step() {
 	}
 	var grew bool
 	if me.prog.Naive {
-		grew = me.naiveIteration(st)
+		grew = me.naiveIteration(rs)
 	} else if me.prog.PSN {
-		grew = me.psnIteration(st)
+		grew = me.psnIteration(rs)
 	} else {
-		grew = me.bsnIteration(st)
+		grew = me.bsnIteration(rs)
 	}
 	me.Iterations++
 	if !grew {
@@ -316,234 +308,249 @@ func (me *matEval) advanceStratum() {
 	}
 }
 
+// roundSched is the semi-naive round schedule of one stratum in one
+// evaluation: everything a round needs that does not change between rounds,
+// resolved once, with the marks in slices laid out like the stratum's
+// predicate table (Stratum.Table) instead of maps keyed — and hashed — by
+// predicate every round. A round snapshots the table, plans its versions,
+// dispatches them (inline or to the worker pool, parallel.go), advances the
+// rules' marks, and tests the snapshot for growth.
+type roundSched struct {
+	st   *Stratum
+	rels []*relation.HashRelation // st.Table, resolved in this evaluation's store
+	// start is the table's snapshot at the top of the round: the upper end of
+	// every BSN delta, the rollback target of a failed round, the mark below
+	// which pool workers pre-filter duplicates, and the progress baseline.
+	start    []relation.Mark
+	turn     []relation.Mark // PSN: the table's snapshot at the current rule's turn
+	rules    []schedRule     // st.RecRules
+	versions []schedVersion  // rule × delta position, in (rule, RecPositions) order
+	exitDone bool            // initStratum has run
+	// parChecked/parSafe cache checkParallelSafe: the store's sources cannot
+	// change between rounds of one evaluation.
+	parChecked, parSafe bool
+}
+
+// schedRule is one recursive rule of a schedule.
+type schedRule struct {
+	c    *Compiled
+	vers []schedVersion         // the rule's slice of roundSched.versions
+	last []relation.Mark        // how far this rule has consumed each table slot
+	dup  *relation.HashRelation // dupRel of the head relation
+	emit emitFunc               // inserts a derivation into the head relation
+}
+
+// schedVersion is one delta version of a rule: the recursive item written at
+// pos scans [last, now) of table slot slot. plan is the version's fitted
+// plan, refreshed at the top of each round (BSN) or at the rule's turn (PSN).
+type schedVersion struct {
+	rule *schedRule
+	pos  int
+	slot int
+	plan *Compiled
+}
+
+// sched returns the current stratum's schedule, building it on first use.
+func (me *matEval) sched() *roundSched {
+	if rs := me.scheds[me.stratumIdx]; rs != nil {
+		return rs
+	}
+	st := me.prog.Strata[me.stratumIdx]
+	np, nv := len(st.Table), 0
+	for _, c := range st.RecRules {
+		nv += len(c.RecPositions)
+	}
+	rs := &roundSched{
+		st:       st,
+		rels:     make([]*relation.HashRelation, np),
+		start:    make([]relation.Mark, np),
+		rules:    make([]schedRule, len(st.RecRules)),
+		versions: make([]schedVersion, 0, nv),
+	}
+	for i, k := range st.Table {
+		rs.rels[i] = me.st.rel(k)
+	}
+	marks := make([]relation.Mark, len(st.RecRules)*np)
+	for i, c := range st.RecRules {
+		r := &rs.rules[i]
+		*r = schedRule{c: c, last: marks[i*np : (i+1)*np], dup: me.dupRel(rs.rels[c.HeadSlot]), emit: me.emitInto(c)}
+		first := len(rs.versions)
+		for _, pos := range c.RecPositions {
+			rs.versions = append(rs.versions, schedVersion{rule: r, pos: pos, slot: c.Body[pos].Slot})
+		}
+		r.vers = rs.versions[first:]
+	}
+	me.scheds[me.stratumIdx] = rs
+	return rs
+}
+
+// snapshot records the table's marks at a round boundary. It is taken whether
+// or not a budget is in force, so budgeted and unbudgeted runs allocate
+// identically (the E18 overhead criterion).
+func (rs *roundSched) snapshot() {
+	for i, r := range rs.rels {
+		rs.start[i] = r.Snapshot()
+	}
+}
+
+// grew reports whether any of the stratum's relations has accepted an insert
+// since the snapshot (Snapshot grows on every accepted insert, even one a
+// later aggregate selection tombstones).
+func (rs *roundSched) grew() bool {
+	for i := range rs.st.Preds {
+		if rs.rels[i].Snapshot() > rs.start[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// abortRound fails the evaluation with err after truncating every relation
+// of the table to its round-start mark, making a failed or aborted round
+// atomic: a later reader (a lazy answer scan, a follow-up call on a
+// save-module) never observes a torn round. Relations under aggregate
+// selections are skipped — a displacing insert tombstones the displaced fact,
+// and truncation cannot resurrect it (see relation.TruncateTo); their
+// evaluations are invalidated wholesale instead (ModuleDef.Call drops
+// aborted save-module state).
+func (me *matEval) abortRound(rs *roundSched, err error) bool {
+	for i, r := range rs.rels {
+		if len(r.AggSels()) == 0 {
+			r.TruncateTo(rs.start[i])
+		}
+	}
+	me.fail(err)
+	return false
+}
+
+// emitInto returns the emit callback that inserts rule c's derivations.
+func (me *matEval) emitInto(c *Compiled) emitFunc {
+	return func(f Fact) bool { me.insert(c.HeadPred, f); return true }
+}
+
+// evalFull applies rule c against full extents (exit rules, naive rounds).
+func (me *matEval) evalFull(rs *roundSched, c *Compiled, emit emitFunc) error {
+	me.ev.headDup = me.dupRel(rs.rels[c.HeadSlot])
+	err := me.ev.evalRule(me.planFor(c, -1), fullRanges, emit)
+	me.ev.headDup = nil
+	return err
+}
+
 // initStratum runs the exit rules and aggregate rules once. Their body
 // predicates lie in lower strata (complete by now) or outside the module.
 // Under save-module the exit rules run only on the first call: their bodies
 // read nothing that grows between calls, so re-running could only rederive.
-func (me *matEval) initStratum(st *Stratum) {
-	if me.exitDone == nil {
-		me.exitDone = make(map[*Stratum]bool)
-	}
-	if me.exitDone[st] {
+func (me *matEval) initStratum(rs *roundSched) {
+	if rs.exitDone {
 		return
 	}
-	me.exitDone[st] = true
-	heads := me.headMarks(st.ExitRules, st.AggRules)
-	emitFor := func(c *Compiled) emitFunc {
-		return func(f Fact) bool { me.insert(c.HeadPred, f); return true }
-	}
-	for _, c := range st.ExitRules {
-		me.ev.headDup = me.dupRel(c.HeadPred)
-		err := me.ev.evalRule(me.planFor(c, -1), fullRanges, emitFor(c))
-		me.ev.headDup = nil
-		if err != nil {
-			me.rollbackTo(heads)
-			me.fail(err)
+	rs.exitDone = true
+	rs.snapshot()
+	for _, c := range rs.st.ExitRules {
+		if err := me.evalFull(rs, c, me.emitInto(c)); err != nil {
+			me.abortRound(rs, err)
 			return
 		}
 	}
-	for _, c := range st.AggRules {
+	for _, c := range rs.st.AggRules {
 		if err := me.evalAggRule(c); err != nil {
-			me.rollbackTo(heads)
-			me.fail(err)
+			me.abortRound(rs, err)
 			return
 		}
 	}
 }
 
-// headMarks snapshots the head relations of the given rule sets at a round
-// boundary; rollbackTo undoes the round's inserts on a failed round. It is
-// computed whether or not a budget is in force, so budgeted and unbudgeted
-// runs allocate identically (the E18 overhead criterion).
-func (me *matEval) headMarks(ruleSets ...[]*Compiled) map[ast.PredKey]relation.Mark {
-	marks := make(map[ast.PredKey]relation.Mark)
-	for _, rules := range ruleSets {
-		for _, c := range rules {
-			if _, ok := marks[c.HeadPred]; !ok {
-				marks[c.HeadPred] = me.st.rel(c.HeadPred).Snapshot()
-			}
-		}
-	}
-	return marks
-}
-
-// rollbackTo truncates each head relation to its round-start mark, making a
-// failed or aborted round atomic: a later reader (a lazy answer scan, a
-// follow-up call on a save-module) never observes a torn round. Relations
-// under aggregate selections are skipped — a displacing insert tombstones
-// the displaced fact, and truncation cannot resurrect it (see
-// relation.TruncateTo); their evaluations are invalidated wholesale instead
-// (ModuleDef.Call drops aborted save-module state).
-func (me *matEval) rollbackTo(marks map[ast.PredKey]relation.Mark) {
-	for pred, mk := range marks {
-		r := me.st.rel(pred)
-		if len(r.AggSels()) > 0 {
-			continue
-		}
-		r.TruncateTo(mk)
+// planRule fits the plan of every delta version of r against the current
+// statistics.
+func (me *matEval) planRule(r *schedRule) {
+	for i := range r.vers {
+		r.vers[i].plan = me.planFor(r.c, r.vers[i].pos)
 	}
 }
 
-// marksFor returns (and lazily creates) the per-rule consumption marks.
-func (me *matEval) marksFor(c *Compiled) map[ast.PredKey]relation.Mark {
-	m, ok := me.lastMarks[c]
-	if !ok {
-		m = make(map[ast.PredKey]relation.Mark)
-		me.lastMarks[c] = m
-	}
-	return m
-}
-
-// snapshotNow captures current marks for the recursive predicates of rule c.
-func (me *matEval) snapshotNow(c *Compiled) map[ast.PredKey]relation.Mark {
-	now := make(map[ast.PredKey]relation.Mark)
-	for _, pos := range c.RecPositions {
-		pred := c.Body[pos].Pred
-		if _, ok := now[pred]; !ok {
-			now[pred] = me.st.rel(pred).Snapshot()
-		}
-	}
-	return now
-}
-
-// planVersions fits the plan of every delta version of the given rules, in
-// (rule, RecPositions) order.
-func (me *matEval) planVersions(rules ...*Compiled) []*Compiled {
-	n := 0
-	for _, c := range rules {
-		n += len(c.RecPositions)
-	}
-	planned := make([]*Compiled, 0, n)
-	for _, c := range rules {
-		for _, pos := range c.RecPositions {
-			planned = append(planned, me.planFor(c, pos))
-		}
-	}
-	return planned
-}
-
-// applyRecursive runs all delta versions of rule c — planned holds their
-// fitted plans (planVersions) — using its stored marks and the supplied
-// now-snapshot, then advances the marks.
-func (me *matEval) applyRecursive(c *Compiled, now map[ast.PredKey]relation.Mark, planned []*Compiled) error {
-	last := me.marksFor(c)
-	// Complete the last map for predicates this rule reads.
-	for _, pos := range c.RecPositions {
-		pred := c.Body[pos].Pred
-		if _, ok := last[pred]; !ok {
-			last[pred] = 0
-		}
-	}
-	emit := func(f Fact) bool {
-		me.insert(c.HeadPred, f)
-		return true
-	}
-	me.ev.headDup = me.dupRel(c.HeadPred)
-	for i, pos := range c.RecPositions {
-		rr := ruleRanges{DeltaPos: pos, Last: last, Now: now}
-		if err := me.ev.evalRule(planned[i], rr, emit); err != nil {
+// applyRule runs all delta versions of r on the evaluation's own evaluator,
+// each reading [r.last, now) of its delta slot and inserting as it derives.
+func (me *matEval) applyRule(r *schedRule, now []relation.Mark) error {
+	me.ev.headDup = r.dup
+	for i := range r.vers {
+		v := &r.vers[i]
+		rr := ruleRanges{DeltaPos: v.pos, Last: r.last, Now: now}
+		if err := me.ev.evalRule(v.plan, rr, r.emit); err != nil {
 			me.ev.headDup = nil
 			return err
 		}
 	}
 	me.ev.headDup = nil
-	for pred, mk := range now {
-		last[pred] = mk
-	}
 	return nil
 }
 
 // bsnIteration is one Basic Semi-Naive round: all rules see the same
-// snapshot taken at the start of the round (paper §4.2, §5.3). When the
-// stratum passes the parallel-safety analysis the round runs on the worker
-// pool instead (parallel.go); both paths produce identical relations.
-func (me *matEval) bsnIteration(st *Stratum) bool {
-	if w := me.workersFor(st); w > 1 {
-		return me.bsnParallel(st, w)
+// snapshot taken at the start of the round (paper §4.2, §5.3). Every version
+// is planned against the round-start statistics, before any rule inserts, so
+// however the round is dispatched it runs the same schedules and emits in
+// the same order. A round whose deltas are large enough to share out runs on
+// the worker pool (workersFor, parallel.go), any other inline on this
+// goroutine; both produce identical relations.
+func (me *matEval) bsnIteration(rs *roundSched) bool {
+	rs.snapshot()
+	for i := range rs.rules {
+		me.planRule(&rs.rules[i])
 	}
-	now := make(map[ast.PredKey]relation.Mark)
-	for _, c := range st.RecRules {
-		for _, pos := range c.RecPositions {
-			pred := c.Body[pos].Pred
-			if _, ok := now[pred]; !ok {
-				now[pred] = me.st.rel(pred).Snapshot()
-			}
+	var err error
+	if w := me.workersFor(rs); w > 1 {
+		err = me.runPool(rs, w)
+	} else {
+		for i := 0; i < len(rs.rules) && err == nil; i++ {
+			err = me.applyRule(&rs.rules[i], rs.start)
 		}
 	}
-	// Every version is planned against the round-start statistics, before
-	// any rule inserts — as the parallel round plans them — so one worker
-	// and many run the same schedules and emit in the same order.
-	planned := me.planVersions(st.RecRules...)
-	heads := me.headMarks(st.RecRules)
-	before := me.totalFacts(st)
-	for _, c := range st.RecRules {
-		ruleNow := make(map[ast.PredKey]relation.Mark)
-		for _, pos := range c.RecPositions {
-			ruleNow[c.Body[pos].Pred] = now[c.Body[pos].Pred]
-		}
-		versions := planned[:len(c.RecPositions)]
-		planned = planned[len(c.RecPositions):]
-		if err := me.applyRecursive(c, ruleNow, versions); err != nil {
-			me.rollbackTo(heads)
-			me.fail(err)
-			return false
-		}
+	if err != nil {
+		return me.abortRound(rs, err)
 	}
-	return me.totalFacts(st) > before
+	for i := range rs.rules {
+		copy(rs.rules[i].last, rs.start)
+	}
+	return rs.grew()
 }
 
 // psnIteration is one Predicate Semi-Naive round: predicates are processed
-// in order and each rule sees a snapshot taken when its turn comes, so
-// facts produced earlier in the same round feed later rules immediately
-// (paper §4.2; [22]). This typically reaches the fixpoint in fewer rounds
-// for programs with many mutually recursive predicates.
-func (me *matEval) psnIteration(st *Stratum) bool {
-	heads := me.headMarks(st.RecRules)
-	before := me.totalFacts(st)
-	for _, pred := range st.Preds {
-		for _, c := range st.RecRules {
-			if c.HeadPred != pred {
+// in order and each rule sees a snapshot taken — and a plan fitted — when its
+// turn comes, so facts produced earlier in the same round feed later rules
+// immediately (paper §4.2; [22]). This typically reaches the fixpoint in
+// fewer rounds for programs with many mutually recursive predicates.
+func (me *matEval) psnIteration(rs *roundSched) bool {
+	rs.snapshot()
+	if rs.turn == nil {
+		rs.turn = make([]relation.Mark, len(rs.rels))
+	}
+	for _, pred := range rs.st.Preds {
+		for i := range rs.rules {
+			r := &rs.rules[i]
+			if r.c.HeadPred != pred {
 				continue
 			}
-			if err := me.applyRecursive(c, me.snapshotNow(c), me.planVersions(c)); err != nil {
-				me.rollbackTo(heads)
-				me.fail(err)
-				return false
+			for s, rel := range rs.rels {
+				rs.turn[s] = rel.Snapshot()
 			}
+			me.planRule(r)
+			if err := me.applyRule(r, rs.turn); err != nil {
+				return me.abortRound(rs, err)
+			}
+			copy(r.last, rs.turn)
 		}
 	}
-	return me.totalFacts(st) > before
+	return rs.grew()
 }
 
 // naiveIteration applies every rule against full extents — the baseline
 // semi-naive is measured against (experiment E01). Duplicate checking in
 // the relations provides termination.
-func (me *matEval) naiveIteration(st *Stratum) bool {
-	heads := me.headMarks(st.RecRules)
-	before := me.totalFacts(st)
-	emitFor := func(c *Compiled) emitFunc {
-		return func(f Fact) bool { me.insert(c.HeadPred, f); return true }
-	}
-	for _, c := range st.RecRules {
-		me.ev.headDup = me.dupRel(c.HeadPred)
-		err := me.ev.evalRule(me.planFor(c, -1), fullRanges, emitFor(c))
-		me.ev.headDup = nil
-		if err != nil {
-			me.rollbackTo(heads)
-			me.fail(err)
-			return false
+func (me *matEval) naiveIteration(rs *roundSched) bool {
+	rs.snapshot()
+	for i := range rs.rules {
+		if err := me.evalFull(rs, rs.rules[i].c, rs.rules[i].emit); err != nil {
+			return me.abortRound(rs, err)
 		}
 	}
-	return me.totalFacts(st) > before
-}
-
-// totalFacts sums the stratum's relation sizes (including attempts-based
-// growth via tombstoned aggregate selections: Snapshot grows on every
-// accepted insert even if a later one deletes it).
-func (me *matEval) totalFacts(st *Stratum) int {
-	total := 0
-	for _, pred := range st.Preds {
-		total += int(me.st.rel(pred).Snapshot())
-	}
-	return total
+	return rs.grew()
 }

@@ -72,19 +72,18 @@ func hashRelOfWritable(src Source) *relation.HashRelation {
 }
 
 // scanBounds returns the ordinal range the semi-naive discipline assigns to
-// relation item it under rr — the same switch lookupFor's ranged paths
-// apply, keyed on the written occurrence (OrigPos).
+// relation item it under rr, keyed on the written occurrence (OrigPos).
 func scanBounds(it *CItem, rr ruleRanges, src Source) (relation.Mark, relation.Mark) {
 	if !it.Recursive || rr.DeltaPos < 0 {
 		return 0, src.Snapshot()
 	}
 	switch {
 	case it.OrigPos == rr.DeltaPos:
-		return rr.Last[it.Pred], rr.Now[it.Pred]
+		return rr.Last[it.Slot], rr.Now[it.Slot]
 	case it.OrigPos < rr.DeltaPos:
-		return 0, rr.Last[it.Pred]
+		return 0, rr.Last[it.Slot]
 	default:
-		return 0, rr.Now[it.Pred]
+		return 0, rr.Now[it.Slot]
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"coral/internal/ast"
 	"coral/internal/relation"
 	"coral/internal/term"
 )
@@ -22,10 +21,13 @@ import (
 // position Split.Pos to the ordinal range [Split.From, Split.To) — the
 // parallel round's work partitioning (see parallel.go). The range must be a
 // subrange of whatever the discipline above would give that item.
+//
+// Last and Now are indexed by CItem.Slot, the item's predicate in its
+// stratum's predicate table.
 type ruleRanges struct {
 	DeltaPos int
-	Last     map[ast.PredKey]relation.Mark
-	Now      map[ast.PredKey]relation.Mark
+	Last     []relation.Mark
+	Now      []relation.Mark
 	Split    *splitRange
 }
 
@@ -120,16 +122,12 @@ type evaluator struct {
 	// loops on a miss.
 	tables   map[*CItem]*builtTable
 	tablesRO bool
-	// bytecode routes eligible rule versions through the register machine
-	// (bytecode.go); bcProgs caches compiled programs per rule version
-	// (nil entries mark ineligible rules), bcRO marks worker evaluators
-	// sharing the writer's cache read-only, and bc is the pooled machine
+	// bytecode routes rule versions in the compiled fragment (Compiled.program)
+	// through the register machine (bytecode.go); bc is the pooled machine
 	// state. Whoever sets trace leaves bytecode false (justifications
 	// capture live environments), as does Ordered Search (magic-fact
 	// attribution reads curRule/curEnv mid-emit) — see configureEval.
 	bytecode bool
-	bcProgs  map[*Compiled]*bcProg
-	bcRO     bool
 	bc       bcMachine
 	// stats
 	Derivations int // successful head instantiations
@@ -164,7 +162,7 @@ func (ev *evaluator) pollBudget() {
 func (ev *evaluator) evalRule(c *Compiled, rr ruleRanges, emit emitFunc) error {
 	var err error
 	if ev.bytecode && !ev.bc.busy {
-		if p := ev.bcFor(c); p != nil {
+		if p := c.program(); p != nil {
 			handled := false
 			ev.bc.busy = true
 			func() {
@@ -380,16 +378,8 @@ func (ev *evaluator) lookupFor(it *CItem, pos int, rr ruleRanges, env *term.Env,
 	if !it.Recursive || rr.DeltaPos < 0 {
 		return src.Lookup(it.Args, env)
 	}
-	last := rr.Last[it.Pred]
-	now := rr.Now[it.Pred]
-	switch {
-	case it.OrigPos == rr.DeltaPos:
-		return src.LookupRange(it.Args, env, last, now)
-	case it.OrigPos < rr.DeltaPos:
-		return src.LookupRange(it.Args, env, 0, last)
-	default:
-		return src.LookupRange(it.Args, env, 0, now)
-	}
+	from, to := scanBounds(it, rr, src)
+	return src.LookupRange(it.Args, env, from, to)
 }
 
 // hasMatch reports whether any fact of the negated item's relation unifies

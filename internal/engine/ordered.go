@@ -160,26 +160,26 @@ func (c *osContext) mergeFrom(sg *subgoal) {
 // done group of a retiring top node, or pop it; finished when the context
 // empties.
 func (me *matEval) osStep() {
-	st := me.prog.Strata[0]
+	rs := me.sched() // the single stratum of an Ordered Search program
 	if !me.initialized {
 		me.initialized = true
-		me.initStratum(st)
+		me.initStratum(rs)
 		return
 	}
-	grew := me.bsnIteration(st)
+	grew := me.bsnIteration(rs)
 	me.Iterations++
 	if grew {
 		return
 	}
 	// Quiescent: aggregate rules next (their done guards gate groups).
-	before := me.totalFacts(st)
-	for _, c := range st.AggRules {
+	rs.snapshot()
+	for _, c := range rs.st.AggRules {
 		if err := me.evalAggRule(c); err != nil {
 			me.fail(err)
 			return
 		}
 	}
-	if me.totalFacts(st) > before {
+	if rs.grew() {
 		return
 	}
 	ctx := me.ctx

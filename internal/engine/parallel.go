@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"coral/internal/ast"
 	"coral/internal/relation"
 )
 
@@ -33,43 +32,35 @@ import (
 var parMinChunk = 64
 
 // parTask is one unit of parallel work: a rule version, possibly
-// restricted to an ordinal chunk of its outermost relation item. head and
-// headSnap let workers discard derivations that duplicate a round-start
-// fact (see bsnParallel); filter is false for multiset heads, which keep
-// every derivation.
+// restricted to an ordinal chunk of its outermost relation item.
 type parTask struct {
-	c        *Compiled
-	rr       ruleRanges
-	head     *relation.HashRelation
-	headSnap relation.Mark
-	filter   bool
+	v  *schedVersion
+	rr ruleRanges
 }
 
-// workersFor decides how many workers a BSN round over st may use: the
-// evaluation's worker budget (configureEval), provided the stratum itself
-// passes the safety analysis.
-func (me *matEval) workersFor(st *Stratum) int {
+// workersFor is the round's dispatch decision: how many workers the round
+// the schedule has just snapshotted may use. The pool needs a worker budget
+// (configureEval), a delta that fills at least two chunks — a smaller round
+// costs less to run than to hand out — and a stratum that passes the safety
+// analysis; any other round runs inline on the caller's goroutine.
+func (me *matEval) workersFor(rs *roundSched) int {
 	if me.parallelism <= 1 {
 		return 1
 	}
-	if !me.stratumParallelSafe(st) {
-		return 1
+	for i := range rs.versions {
+		v := &rs.versions[i]
+		if int(rs.start[v.slot]-v.rule.last[v.slot]) < 2*parMinChunk {
+			continue
+		}
+		if !rs.parChecked {
+			rs.parChecked, rs.parSafe = true, me.checkParallelSafe(rs.st)
+		}
+		if rs.parSafe {
+			return me.parallelism
+		}
+		break
 	}
-	return me.parallelism
-}
-
-// stratumParallelSafe caches checkParallelSafe: the store's sources cannot
-// change between rounds of one evaluation.
-func (me *matEval) stratumParallelSafe(st *Stratum) bool {
-	if me.parSafe == nil {
-		me.parSafe = make(map[*Stratum]bool)
-	}
-	safe, ok := me.parSafe[st]
-	if !ok {
-		safe = me.checkParallelSafe(st)
-		me.parSafe[st] = safe
-	}
-	return safe
+	return 1
 }
 
 // checkParallelSafe reports whether every read a round over st performs is
@@ -116,144 +107,60 @@ func (me *matEval) checkParallelSafe(st *Stratum) bool {
 	return true
 }
 
-// bsnParallel is one BSN round on the worker pool. It mirrors
-// bsnIteration exactly: same snapshots, same versions, same mark
-// advancement, same progress test — only the rule applications run
-// concurrently and their inserts are replayed at the barrier.
-func (me *matEval) bsnParallel(st *Stratum, workers int) bool {
-	before := me.totalFacts(st)
-	now := make(map[ast.PredKey]relation.Mark)
-	for _, c := range st.RecRules {
-		for _, pos := range c.RecPositions {
-			pred := c.Body[pos].Pred
-			if _, ok := now[pred]; !ok {
-				now[pred] = me.st.rel(pred).Snapshot()
-			}
-		}
-	}
-
-	// Round-start snapshot of every head relation: a derivation that
-	// duplicates (or is subsumed by) a live fact below this mark would be
-	// rejected by the merge no matter what else the round inserts, so
-	// workers drop it early — moving most duplicate elimination off the
-	// serial merge and into the parallel phase. The check is read-only and
-	// Mark-bounded, which the single-writer contract makes race-free.
-	headSnap := make(map[ast.PredKey]relation.Mark)
-	for _, c := range st.RecRules {
-		if _, ok := headSnap[c.HeadPred]; !ok {
-			headSnap[c.HeadPred] = me.st.rel(c.HeadPred).Snapshot()
-		}
-	}
-
+// runPool runs the round's versions on the worker pool and merges their
+// output. It reports the first failed task's error, having merged nothing.
+func (me *matEval) runPool(rs *roundSched, workers int) error {
+	// Build tables on the writer goroutine before workers exist (workers
+	// probe the shared cache read-only), then split: the split position
+	// follows the delta literal to its planned slot.
 	var tasks []parTask
-	ruleNows := make([]map[ast.PredKey]relation.Mark, len(st.RecRules))
-	for ri, c := range st.RecRules {
-		last := me.marksFor(c)
-		for _, pos := range c.RecPositions {
-			pred := c.Body[pos].Pred
-			if _, ok := last[pred]; !ok {
-				last[pred] = 0
-			}
+	for i := range rs.versions {
+		v := &rs.versions[i]
+		rr := ruleRanges{DeltaPos: v.pos, Last: v.rule.last, Now: rs.start}
+		if err := me.prebuildTables(v.plan, rr); err != nil {
+			return err
 		}
-		ruleNow := make(map[ast.PredKey]relation.Mark)
-		for _, pos := range c.RecPositions {
-			ruleNow[c.Body[pos].Pred] = now[c.Body[pos].Pred]
-		}
-		ruleNows[ri] = ruleNow
-		head := me.st.rel(c.HeadPred)
-		for _, pos := range c.RecPositions {
-			rr := ruleRanges{DeltaPos: pos, Last: last, Now: ruleNow}
-			// Plan on the writer goroutine before workers exist: workers
-			// receive the already-fitted schedule, and the split position
-			// follows the delta literal to its planned slot. Build tables
-			// the same way — workers probe the shared cache read-only.
-			pc := me.planFor(c, pos)
-			if err := me.prebuildTables(pc, rr); err != nil {
-				me.fail(err)
-				return false
-			}
-			if me.ev.bytecode {
-				// Compile on the writer too: workers share the program cache
-				// read-only, so a worker-side miss would mean nested loops
-				// for that task while others run bytecode — same answers,
-				// but compiling here keeps the paths uniform.
-				me.ev.bcFor(pc)
-			}
-			for _, t := range me.splitVersion(pc, rr, workers) {
-				t.head = head
-				t.headSnap = headSnap[c.HeadPred]
-				t.filter = !head.Multiset
-				tasks = append(tasks, t)
-			}
-		}
+		tasks = me.splitVersion(tasks, v, rr, workers)
 	}
 
-	// Workers pull tasks from a shared cursor. Each task gets a private
-	// evaluator (evaluators carry per-activation state) and a private
-	// output buffer; nothing shared is written until the barrier.
+	// Workers pull tasks from a shared cursor. Each worker has a private
+	// evaluator (evaluators carry per-activation state) and each task a
+	// private output buffer; nothing shared is written until the barrier.
+	// Workers share the call's budget guard: each polls the context and
+	// deadline amortized through its evaluator, and buffered emits are
+	// charged against the shared atomic fact counter — so a round that would
+	// buffer far past MaxFacts stops in the worker phase, not at the merge.
+	// Emits the merge later rejects as duplicates stay charged (a small
+	// overshoot; workers pre-filter most duplicates anyway).
 	results := make([][]Fact, len(tasks))
 	errs := make([]error, len(tasks))
-	evs := make([]evaluator, len(tasks))
-	var cursor int64
-	var wg sync.WaitGroup
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	// Workers share the call's budget guard: each polls the context and
-	// deadline amortized through its private evaluator, and buffered emits
-	// are charged against the shared atomic fact counter — so a round that
-	// would buffer far past MaxFacts stops in the worker phase, not at the
-	// merge. Emits the merge later rejects as duplicates stay charged (a
-	// small overshoot; workers pre-filter most duplicates anyway).
+	evs := make([]evaluator, workers)
 	var guard *budgetGuard
 	if me.guard.active() {
 		guard = &me.guard
 	}
-	for w := 0; w < workers; w++ {
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := range evs {
+		// Prebuilt tables on the writer; a miss (an item the prebuild skipped)
+		// falls back to nested loops rather than building into the shared map
+		// from a worker.
+		evs[w] = evaluator{st: me.st, IntelligentBacktracking: me.ev.IntelligentBacktracking,
+			guard: guard, tables: me.ev.tables, tablesRO: true, bytecode: me.ev.bytecode}
 		wg.Add(1)
-		go func() {
+		go func(ev *evaluator) {
 			defer wg.Done()
 			for {
-				i := int(atomic.AddInt64(&cursor, 1)) - 1
+				i := int(cursor.Add(1)) - 1
 				if i >= len(tasks) {
 					return
 				}
-				t := &tasks[i]
-				ev := &evs[i]
-				ev.st = me.st
-				ev.IntelligentBacktracking = me.ev.IntelligentBacktracking
-				ev.guard = guard
-				// Prebuilt on the writer; a miss (an item the prebuild
-				// skipped) falls back to nested loops rather than building
-				// into the shared map from a worker.
-				ev.tables = me.ev.tables
-				ev.tablesRO = true
-				ev.bytecode = me.ev.bytecode
-				ev.bcProgs = me.ev.bcProgs
-				ev.bcRO = true
-				if t.filter {
-					// The head relation is frozen during the worker phase
-					// (single-writer merge happens after the barrier), so the
-					// probe sees exactly the facts DuplicateWithin would.
-					ev.headDup = t.head
-				}
-				var emitErr error
-				err := ev.evalRule(t.c, t.rr, func(f Fact) bool {
-					if t.filter && t.head.DuplicateWithin(f, t.headSnap) {
-						return true // merge would reject it; drop in parallel
-					}
-					if emitErr = guard.addFact(); emitErr != nil {
-						return false // budget tripped: stop this task cleanly
-					}
-					results[i] = append(results[i], f)
-					return true
-				})
-				if err == nil {
-					err = emitErr
-				}
-				errs[i] = err
+				errs[i] = me.runTask(ev, rs, &tasks[i], &results[i])
 			}
-		}()
+		}(&evs[w])
 	}
 	// The barrier always joins every worker — also on abort, so no
 	// goroutine outlives the round (workers notice a tripped budget at
@@ -261,76 +168,90 @@ func (me *matEval) bsnParallel(st *Stratum, workers int) bool {
 	wg.Wait()
 	me.ParRounds++
 
-	for i := range tasks {
-		me.ev.Derivations += evs[i].Derivations
-		me.ev.Attempts += evs[i].Attempts
-		me.ev.HashProbes += evs[i].HashProbes
-		me.ev.BCRuns += evs[i].BCRuns
+	for w := range evs {
+		me.ev.Derivations += evs[w].Derivations
+		me.ev.Attempts += evs[w].Attempts
+		me.ev.HashProbes += evs[w].HashProbes
+		me.ev.BCRuns += evs[w].BCRuns
 	}
 	// A failed round merges nothing: the head relations still hold exactly
 	// their round-start prefixes, so the abort leaves no torn round and the
 	// buffered results are simply discarded.
-	for i := range tasks {
-		if errs[i] != nil {
-			me.fail(errs[i])
-			return false
+	for _, terr := range errs {
+		if terr != nil {
+			return terr
 		}
 	}
-
 	// Single-writer merge in task order == sequential emission order. The
 	// inserts bypass me.insert: parallel rounds never run under Ordered
-	// Search (workersFor), and the workers already charged these facts
+	// Search (configureEval), and the workers already charged these facts
 	// against the budget, so counting them again would double-bill.
 	for i := range tasks {
-		head := me.st.rel(tasks[i].c.HeadPred)
+		head := rs.rels[tasks[i].v.rule.c.HeadSlot]
 		for _, f := range results[i] {
 			head.Insert(f)
 		}
 	}
-	for ri, c := range st.RecRules {
-		last := me.lastMarks[c]
-		for pred, mk := range ruleNows[ri] {
-			last[pred] = mk
-		}
-	}
-	return me.totalFacts(st) > before
+	return nil
 }
 
-// splitVersion turns one delta version of rule c into chunk tasks by
+// runTask evaluates one task on a worker's evaluator, buffering its
+// derivations in out. A derivation that duplicates (or is subsumed by) a
+// live fact below the head's round-start mark would be rejected by the merge
+// no matter what else the round inserts, so the worker drops it early —
+// moving most duplicate elimination off the serial merge and into the
+// parallel phase. The head relation is frozen during the worker phase
+// (single-writer merge happens after the barrier), so both the probe and
+// DuplicateWithin are read-only, Mark-bounded and race-free. Multiset heads
+// keep every derivation.
+func (me *matEval) runTask(ev *evaluator, rs *roundSched, t *parTask, out *[]Fact) error {
+	r := t.v.rule
+	head, snap := rs.rels[r.c.HeadSlot], rs.start[r.c.HeadSlot]
+	ev.headDup = r.dup // nil for a multiset head
+	var emitErr error
+	err := ev.evalRule(t.v.plan, t.rr, func(f Fact) bool {
+		if r.dup != nil && head.DuplicateWithin(f, snap) {
+			return true // merge would reject it; drop in parallel
+		}
+		if emitErr = ev.guard.addFact(); emitErr != nil {
+			return false // budget tripped: stop this task cleanly
+		}
+		*out = append(*out, f)
+		return true
+	})
+	if err == nil {
+		err = emitErr
+	}
+	return err
+}
+
+// splitVersion appends one delta version's chunk tasks, made by
 // restricting the version's outermost relation item — the first ItemRel in
 // the body, everything before it being single-shot builtins or negations —
 // to subranges of the ordinal range the semi-naive discipline assigns it.
 // Every derivation consumes exactly one tuple of the outermost item, so
 // the chunks partition the version's output with no duplicated scanning.
-func (me *matEval) splitVersion(c *Compiled, rr ruleRanges, workers int) []parTask {
-	pos := -1
-	for i := range c.Body {
-		if c.Body[i].Kind == ItemRel {
-			pos = i
-			break
+func (me *matEval) splitVersion(tasks []parTask, v *schedVersion, rr ruleRanges, workers int) []parTask {
+	c := v.plan
+	pos := 0
+	for pos < len(c.Body) && c.Body[pos].Kind != ItemRel {
+		pos++
+	}
+	var from, to relation.Mark
+	size, chunks := 0, 0
+	if pos < len(c.Body) {
+		if src, err := me.st.source(c.Body[pos].Pred); err == nil {
+			// Range assignment follows the written occurrence (OrigPos), as
+			// in lookupFor: the planner may have moved the item, but its
+			// semi-naive range is fixed by where it was written (scanBounds).
+			from, to = scanBounds(&c.Body[pos], rr, src)
+			size = int(to - from)
+			chunks = min(workers, size/parMinChunk)
 		}
 	}
-	if pos < 0 {
-		return []parTask{{c: c, rr: rr}}
-	}
-	it := &c.Body[pos]
-	src, err := me.st.source(it.Pred)
-	if err != nil {
-		return []parTask{{c: c, rr: rr}}
-	}
-	// Range assignment follows the written occurrence (OrigPos), as in
-	// lookupFor: the planner may have moved the item, but its semi-naive
-	// range is fixed by where it was written (scanBounds, hashjoin.go).
-	from, to := scanBounds(it, rr, src)
-	size := int(to - from)
-	chunks := workers
-	if max := size / parMinChunk; chunks > max {
-		chunks = max
-	}
 	if chunks <= 1 {
-		return []parTask{{c: c, rr: rr}}
+		return append(tasks, parTask{v: v, rr: rr})
 	}
-	out := make([]parTask, 0, chunks)
 	for i := 0; i < chunks; i++ {
 		nrr := rr
 		nrr.Split = &splitRange{
@@ -338,7 +259,7 @@ func (me *matEval) splitVersion(c *Compiled, rr ruleRanges, workers int) []parTa
 			From: from + relation.Mark(i*size/chunks),
 			To:   from + relation.Mark((i+1)*size/chunks),
 		}
-		out = append(out, parTask{c: c, rr: nrr})
+		tasks = append(tasks, parTask{v: v, rr: nrr})
 	}
-	return out
+	return tasks
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"coral/internal/ast"
@@ -93,6 +94,27 @@ func TestParallelMatchesSequentialByteForByte(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSmallRoundsRunInline: a round whose delta cannot fill two chunks runs
+// on the caller's goroutine whatever the worker budget — the whole of a
+// point query over a 4-node component, the shape bench/'s serve workloads
+// send. Pool goroutines start nowhere but in a counted pool round, so no
+// pool round means the request started none.
+func TestSmallRoundsRunInline(t *testing.T) {
+	sys := buildSystem(t, `
+edge(0, 1). edge(0, 2). edge(1, 2). edge(1, 3). edge(2, 3). edge(2, 0). edge(3, 0). edge(3, 1).
+`+workload.TCModule(""))
+	sys.Parallelism = 4
+	base := runtime.NumGoroutine()
+	got, stats := askView(t, sys.NewView(nil), "tc(0, X)")
+	if len(got) != 4 {
+		t.Fatalf("tc(0, X) = %v, want the four nodes", got)
+	}
+	if stats.Iterations == 0 || stats.ParallelRounds != 0 {
+		t.Fatalf("a four-answer fixpoint ran %d of its %d rounds on the worker pool", stats.ParallelRounds, stats.Iterations)
+	}
+	assertNoGoroutineLeak(t, base)
 }
 
 // TestParallelRoundsReported asserts the worker-pool path actually engages

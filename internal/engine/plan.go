@@ -1,7 +1,9 @@
 package engine
 
 import (
-	"coral/internal/ast"
+	"strconv"
+	"sync"
+
 	"coral/internal/relation"
 	"coral/internal/term"
 )
@@ -31,12 +33,16 @@ import (
 // ranges are assigned by written occurrence (CItem.OrigPos), so any
 // permutation reads exactly the ranges the written rule would.
 //
-// Plans are cached per (rule, delta position) and re-fitted when the
-// cardinality of any body relation has drifted past a threshold since the
-// fit — across semi-naive rounds that keeps re-planning cheap while
-// tracking the shrinking deltas. BoundPos and BacktrackTo are recomputed
-// for the schedule, and missing argument-form indexes for the newly bound
-// positions are created (idempotently) so lookups follow the plan.
+// An evaluation caches its choice per (rule, delta position) and re-fits
+// when the cardinality of any body relation has drifted past a threshold
+// since the fit — across semi-naive rounds that keeps re-planning cheap while
+// tracking the shrinking deltas. The choice is a schedule and a set of hash
+// marks; the artefact it names — the clone with BoundPos and BacktrackTo
+// recomputed for the schedule, and its bytecode — is a pure function of
+// (rule, delta position, schedule, marks) and is built once per Program
+// (planMemo), however many calls and sessions choose it. Missing
+// argument-form indexes for the newly bound positions are created
+// (idempotently) per evaluation so lookups follow the plan.
 
 // planKey identifies one cached plan: a compiled rule version.
 type planKey struct {
@@ -44,10 +50,66 @@ type planKey struct {
 	delta int // ruleRanges.DeltaPos of the version; -1 for full extents
 }
 
-// cachedPlan is a fitted schedule plus the cardinalities it was fitted at.
+// cachedPlan is one evaluation's fitted choice for a rule version plus the
+// cardinalities it was fitted at. rels are the body items' hash relations
+// (nil for builtins and sources without statistics), resolved once so the
+// per-round drift check reads row counts and nothing else.
 type cachedPlan struct {
-	planned *Compiled // scheduled clone (the original rule when identity)
-	fitRows []int     // rows per body item at fit time; -1 for non-relation items
+	planned *Compiled // memoised clone (the written rule when identity)
+	rels    []*relation.HashRelation
+	fitRows []int
+}
+
+// planMemoKey names one planned artefact: sched lists the written body
+// positions in schedule order, an "h" after each hash-marked one.
+type planMemoKey struct {
+	c     *Compiled
+	delta int
+	sched string
+}
+
+// planMemo holds a Program's planned rule versions, each carrying its
+// bytecode once it has run. An entry is a pure function of its key and
+// immutable once stored, so concurrent evaluations (Views) share the clones
+// freely; the size is bounded by rule versions × schedules ever chosen, not
+// by calls.
+type planMemo struct {
+	mu sync.Mutex
+	m  map[planMemoKey]*Compiled // guarded_by(mu)
+}
+
+// planned returns the clone of c scheduled in the given order with the
+// given schedule positions hash-marked, building it on first sight (its
+// bytecode follows on first run, Compiled.program). delta is part of the
+// key although the clone does not depend on it: build tables are cached per
+// item identity (tableFor), so two versions of a rule must not share items
+// whose scan ranges differ.
+func (p *Program) planned(c *Compiled, delta int, sched []int, marks []bool) *Compiled {
+	sig := make([]byte, 0, 4*len(sched))
+	for i, oi := range sched {
+		sig = strconv.AppendInt(sig, int64(oi), 10)
+		if marks[i] {
+			sig = append(sig, 'h')
+		}
+		sig = append(sig, ',')
+	}
+	key := planMemoKey{c: c, delta: delta, sched: string(sig)}
+	p.plans.mu.Lock()
+	defer p.plans.mu.Unlock()
+	if nc, ok := p.plans.m[key]; ok {
+		return nc
+	}
+	nc := buildPlanned(c, sched)
+	for i, marked := range marks {
+		if marked {
+			nc.Body[i].HashKeyPos = append([]int(nil), nc.Body[i].BoundPos...)
+		}
+	}
+	if p.plans.m == nil {
+		p.plans.m = make(map[planMemoKey]*Compiled)
+	}
+	p.plans.m[key] = nc
+	return nc
 }
 
 const (
@@ -92,32 +154,43 @@ func (me *matEval) planFor(c *Compiled, delta int) *Compiled {
 		return c
 	}
 	key := planKey{c: c, delta: delta}
-	stats, rows := me.bodyStats(c)
-	if p, ok := me.plans[key]; ok && !drifted(p.fitRows, rows) {
+	if p := me.plans[key]; p != nil && !p.drifted() {
 		return p.planned
 	}
-	planned := me.fitPlan(c, delta, stats)
+	stats, p := me.bodyStats(c)
+	p.planned = me.fitPlan(c, delta, stats)
 	if me.plans == nil {
 		me.plans = make(map[planKey]*cachedPlan)
 	}
-	me.plans[key] = &cachedPlan{planned: planned, fitRows: rows}
-	return planned
+	me.plans[key] = p
+	return p.planned
 }
 
-// bodyStats resolves the statistics of every body relation item. The
-// second result isolates the row counts for drift checks (-1 marks
-// non-relation items and unknown sources).
-func (me *matEval) bodyStats(c *Compiled) ([]relation.Stats, []int) {
+// bodyStats resolves the statistics of every body relation item, and starts
+// the cache entry that will watch them: the relations and their row counts
+// at fit time. Sources that keep no statistics (module calls, computed and
+// persistent relations) stay nil there and never count as drift.
+func (me *matEval) bodyStats(c *Compiled) ([]relation.Stats, *cachedPlan) {
 	stats := make([]relation.Stats, len(c.Body))
-	rows := make([]int, len(c.Body))
+	p := &cachedPlan{rels: make([]*relation.HashRelation, len(c.Body)), fitRows: make([]int, len(c.Body))}
 	for i := range c.Body {
-		rows[i] = -1
 		it := &c.Body[i]
 		if it.Kind == ItemBuiltin {
 			continue
 		}
-		if st, ok := me.statsFor(it.Pred); ok {
-			rows[i] = st.Rows // drift tracks the live count, not the prior
+		var hr *relation.HashRelation
+		if src, err := me.st.source(it.Pred); err == nil { // else: let evaluation surface the error
+			// A snapshot view prices joins from the live statistics of its
+			// underlying relation (reads are clamped to the captured mark, but
+			// the live counts are the better-maintained estimate and appends
+			// during serving are fenced anyway).
+			hr = hashRelOf(src)
+		}
+		if hr != nil {
+			st := hr.Stats()
+			// lint:allow roviol — the cache entry only reads Len() for the
+			// drift check; it lives and dies with this evaluation.
+			p.rels[i], p.fitRows[i] = hr, st.Rows // drift tracks the live count, not the prior
 			if st.Rows == 0 {
 				// Cold start: a derived relation before its first round.
 				// Price it from the static estimate; once rows appear the
@@ -135,41 +208,17 @@ func (me *matEval) bodyStats(c *Compiled) ([]relation.Stats, []int) {
 			stats[i] = relation.Stats{Rows: unknownRows}
 		}
 	}
-	return stats, rows
-}
-
-// statsFor fetches planner statistics for a predicate's source; ok is
-// false for sources that keep no statistics.
-func (me *matEval) statsFor(pred ast.PredKey) (relation.Stats, bool) {
-	src, err := me.st.source(pred)
-	if err != nil {
-		return relation.Stats{}, false // let evaluation surface the error
-	}
-	switch s := src.(type) {
-	case *relation.HashRelation:
-		return s.Stats(), true
-	case *relation.Prefix:
-		// A snapshot view prices joins from the live statistics of its
-		// underlying relation (reads are clamped to the captured mark, but
-		// the live counts are the better-maintained estimate and appends
-		// during serving are fenced anyway).
-		return s.Rel().Stats(), true
-	case relSource:
-		if hr, ok := s.r.(*relation.HashRelation); ok {
-			return hr.Stats(), true
-		}
-	}
-	return relation.Stats{}, false
+	return stats, p
 }
 
 // drifted reports whether current row counts have moved past the
 // invalidation threshold relative to the fit-time counts.
-func drifted(fit, cur []int) bool {
-	for i := range fit {
-		if fit[i] < 0 || cur[i] < 0 {
+func (p *cachedPlan) drifted() bool {
+	for i, r := range p.rels {
+		if r == nil {
 			continue
 		}
-		lo, hi := fit[i], cur[i]
+		lo, hi := p.fitRows[i], r.Len()
 		if lo > hi {
 			lo, hi = hi, lo
 		}
@@ -301,13 +350,14 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 	if reordered {
 		sched = order
 	}
-	// Build the scheduled clone even for the written order: hash marks go on
-	// the clone, never on the shared compiled rule, so each cached version
-	// keys the engine's build-table cache with its own item identities.
-	nc := buildPlanned(c, sched)
-	if !me.markHashItems(nc, sched, stats) && !reordered {
+	// Hash marks go on a clone even for the written order, never on the
+	// shared compiled rule, so each version keys the engine's build-table
+	// cache with its own item identities.
+	marks, marked := me.markHashItems(c, sched, stats)
+	if !marked && !reordered {
 		return c // no reorder and no hash marks: the written rule serves as-is
 	}
+	nc := me.prog.planned(c, delta, sched, marks)
 	me.ensurePlanIndexes(nc)
 	return nc
 }
@@ -315,48 +365,52 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 // markHashItems walks the schedule the way orderCost does — tracking the
 // estimated flow of partial bindings into each position — and marks every
 // relation item for which a build table beats per-probe lookups
-// (hashEligible). The leading relation item is never marked: nothing is
-// bound when it is reached, and the parallel round partitions work by
-// splitting exactly that item's ordinal range (splitVersion). Reports
-// whether any item was marked.
-func (me *matEval) markHashItems(nc *Compiled, sched []int, stats []relation.Stats) bool {
+// (hashEligible). static follows buildPlanned's BoundPos convention, so an
+// item counts as keyed exactly when its clone will have a bound position.
+// The leading relation item is never marked: nothing is bound when it is
+// reached, and the parallel round partitions work by splitting exactly that
+// item's ordinal range (splitVersion). Reports the marks by schedule
+// position and whether there are any.
+func (me *matEval) markHashItems(c *Compiled, sched []int, stats []relation.Stats) ([]bool, bool) {
+	marks := make([]bool, len(sched))
 	marked := false
-	bound := make(map[int]bool)
+	bound, static := make(map[int]bool), make(map[int]bool)
 	size := 1.0
 	firstRel := true
-	for i := range nc.Body {
-		it := &nc.Body[i]
-		if it.Kind != ItemRel {
-			bindSlots(it, bound)
-			continue
-		}
-		st := stats[sched[i]]
-		if !firstRel && me.hashEligible(it, st, size) {
-			it.HashKeyPos = append([]int(nil), it.BoundPos...)
-			marked = true
-		}
-		firstRel = false
-		scan := estCost(it, st, bound)
-		size *= scan
-		if size < 1 {
-			size = 1
+	for i, oi := range sched {
+		it := &c.Body[oi]
+		if it.Kind == ItemRel {
+			keyed := false
+			for _, a := range it.Args {
+				keyed = keyed || coveredBy(a, static)
+			}
+			if !firstRel && keyed && me.hashEligible(it, stats[oi], size) {
+				marks[i], marked = true, true
+			}
+			firstRel = false
+			size *= estCost(it, stats[oi], bound)
+			if size < 1 {
+				size = 1
+			}
 		}
 		bindSlots(it, bound)
+		if it.Kind == ItemRel || (it.Kind == ItemBuiltin && it.Op == "=") {
+			for _, a := range it.Args {
+				addSlots(a, static)
+			}
+		}
 	}
-	return marked
+	return marks, marked
 }
 
 // hashEligible decides hash-join access for one scheduled item reached by
 // an estimated probes-many partial bindings. The source must be a plain
 // hash relation — and one without aggregate selections: a displacing insert
 // tombstones mid-round, which nested-loops scans observe at Next time but a
-// table built earlier would not. At least one bound position is required
-// (the build key), and the probe volume must amortize the build (see the
+// table built earlier would not. The caller has checked that a position is
+// bound (the build key); the probe volume must amortize the build (see the
 // hashMinProbes/hashBuildPerRow/hashProbeGain constants).
 func (me *matEval) hashEligible(it *CItem, st relation.Stats, probes float64) bool {
-	if len(it.BoundPos) == 0 {
-		return false
-	}
 	src, err := me.st.source(it.Pred)
 	if err != nil {
 		return false
@@ -485,6 +539,7 @@ func buildPlanned(c *Compiled, order []int) *Compiled {
 		NVars:    c.NVars,
 		Line:     c.Line,
 		SeedPos:  c.SeedPos,
+		HeadSlot: c.HeadSlot,
 		Body:     make([]CItem, len(order)),
 	}
 	boundVars := make(map[int]bool)

@@ -80,12 +80,21 @@ type Program struct {
 	// these rules price the program that actually runs, magic and
 	// supplementary predicates included.
 	RewrittenRules []*ast.Rule
+	// plans memoises planned rule versions with their bytecode (plan.go): the
+	// one part of a Program that grows after it is built, behind its own lock.
+	plans planMemo
 }
 
 // Stratum is one SCC of the rewritten program together with its rules.
 type Stratum struct {
 	Preds     []ast.PredKey
 	Recursive bool
+	// Table is the stratum's predicate table: Preds, then every other
+	// predicate a recursive body item reads (seed and done predicates of
+	// single-fixpoint programs). CItem.Slot and Compiled.HeadSlot index it, and
+	// an evaluation keeps its relations and semi-naive marks in slices laid
+	// out the same way (roundSched).
+	Table []ast.PredKey
 	// ExitRules have no recursive body literal and run once.
 	ExitRules []*Compiled
 	// RecRules are iterated semi-naively.
@@ -429,10 +438,38 @@ func buildProgram(mod *ast.Module, query ast.PredKey, adorn string, mask []bool,
 		}
 	}
 
+	for _, st := range p.Strata {
+		st.finish()
+	}
 	p.planIndexes()
 	p.RewrittenText = renderRules(mod.Name, rules)
 	p.RewrittenRules = rules
 	return p, nil
+}
+
+// finish lays out the stratum's predicate table and points every rule and
+// recursive item at its slot.
+func (st *Stratum) finish() {
+	st.Table = append([]ast.PredKey(nil), st.Preds...)
+	slot := func(k ast.PredKey) int {
+		for i, p := range st.Table {
+			if p == k {
+				return i
+			}
+		}
+		st.Table = append(st.Table, k)
+		return len(st.Table) - 1
+	}
+	for _, group := range [][]*Compiled{st.ExitRules, st.RecRules, st.AggRules} {
+		for _, c := range group {
+			c.HeadSlot = slot(c.HeadPred)
+			for i := range c.Body {
+				if c.Body[i].Recursive {
+					c.Body[i].Slot = slot(c.Body[i].Pred)
+				}
+			}
+		}
+	}
 }
 
 // pruneRules drops rules whose head predicate is unreachable from the query

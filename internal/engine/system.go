@@ -438,16 +438,21 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 //	otherwise                                 planned order per rule version
 //	                                            from live statistics, static
 //	                                            estimates where those are cold
-//	                                            (planFor, staticSeeder)
+//	                                            (planFor, staticSeeder); the
+//	                                            clone it names is built once per
+//	                                            Program (Program.planned)
 //	  item reached by ≥ 8 estimated probes    hash build/probe instead of
 //	  that amortize a build, plain hash         per-probe index lookup
 //	  relation, no aggregate selection          (markHashItems)
-//	  rule in the compiled fragment, hash     register bytecode; anything else
-//	  sources, ground scan ranges               interpreted, per rule version
-//	                                            (bcFor, runBC's prologue)
-//	  BSN stratum over hash/list relations,   System.Parallelism workers per
-//	  no aggregate selections in the program    round; anything else one
-//	                                            (workersFor)
+//	  rule in the compiled fragment, hash     register bytecode, compiled once
+//	  sources, ground scan ranges               per rule or memoised plan;
+//	                                            anything else interpreted, per
+//	                                            rule version (Compiled.program,
+//	                                            runBC's prologue)
+//	  BSN round with a delta of at least two  System.Parallelism workers for
+//	  chunks (2 × parMinChunk rows), stratum    that round; any other round
+//	  over hash/list relations, no aggregate    inline on the caller
+//	  selections in the program                 (workersFor)
 //	concurrent read-only caller (sharedRO)    plan indexes only on the
 //	                                            evaluation's own relations
 //
@@ -465,16 +470,35 @@ func (def *ModuleDef) configureEval(me *matEval, cfg callCfg, prog *Program) {
 	me.setGuard(cfg.guard())
 }
 
-// newQueryEvaluator is configureEval's counterpart for a top-level
-// conjunctive query (System.Query, View.Query): one untraced rule over
-// external sources, so the bytecode machine when the rule is in the compiled
-// fragment and the interpreter otherwise.
-func newQueryEvaluator(st *store, guard *budgetGuard) *evaluator {
-	ev := &evaluator{st: st, IntelligentBacktracking: true, bytecode: true}
-	if guard.active() {
-		ev.guard = guard
+// evalQuery is configureEval's counterpart for a top-level conjunctive query
+// (System.Query, View.Query): one untraced, one-shot rule over external
+// sources — the bytecode machine when the rule is in the compiled fragment,
+// the interpreter otherwise. Answers are deduplicated and bind the query's
+// distinct named variables in order of first occurrence; work reports the
+// rule's own attempts and derivations.
+func evalQuery(body []ast.Literal, external func(ast.PredKey) (Source, error), guard budgetGuard) (vars []string, facts []Fact, work RunStats, err error) {
+	vars, headArgs := queryAnswerVars(body)
+	rule := &ast.Rule{
+		Head: ast.Literal{Pred: "$query", Args: headArgs},
+		Body: body,
 	}
-	return ev
+	c, err := CompileRule(rule, func(ast.PredKey) bool { return false })
+	if err != nil {
+		return nil, nil, RunStats{}, err
+	}
+	ev := &evaluator{st: newStore(external, nil), IntelligentBacktracking: true, bytecode: true}
+	if guard.active() {
+		ev.guard = &guard
+	}
+	dedup := relation.NewHashRelation("$query", len(headArgs))
+	err = ev.evalRule(c, fullRanges, func(f Fact) bool {
+		if dedup.Insert(f) {
+			guard.noteFact()
+			facts = append(facts, f)
+		}
+		return true
+	})
+	return vars, facts, RunStats{Attempts: ev.Attempts, Derivations: ev.Derivations}, err
 }
 
 // newAnswerScan builds the answer iterator for one call, projecting the
@@ -724,27 +748,7 @@ func (s *answerScan) Next() (Fact, bool) {
 // query's distinct variables in order of first occurrence.
 func (sys *System) Query(body []ast.Literal) (vars []string, facts []Fact, err error) {
 	defer recoverEval(&err)
-	// Collect the distinct named variables as the answer tuple.
-	vars, headArgs := queryAnswerVars(body)
-	rule := &ast.Rule{
-		Head: ast.Literal{Pred: "$query", Args: headArgs},
-		Body: body,
-	}
-	c, err := CompileRule(rule, func(ast.PredKey) bool { return false })
-	if err != nil {
-		return nil, nil, err
-	}
-	st := newStore(sys.external, nil)
-	guard := sys.newGuard()
-	ev := newQueryEvaluator(st, &guard)
-	dedup := relation.NewHashRelation("$query", len(headArgs))
-	err = ev.evalRule(c, fullRanges, func(f Fact) bool {
-		if dedup.Insert(f) {
-			guard.noteFact()
-			facts = append(facts, f)
-		}
-		return true
-	})
+	vars, facts, _, err = evalQuery(body, sys.external, sys.newGuard())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -222,30 +222,9 @@ func (a *statsAcc) total() RunStats {
 func (v *View) Query(body []ast.Literal) (vars []string, facts []Fact, stats RunStats, err error) {
 	defer recoverEval(&err)
 	acc := &statsAcc{}
-	vars, headArgs := queryAnswerVars(body)
-	rule := &ast.Rule{
-		Head: ast.Literal{Pred: "$query", Args: headArgs},
-		Body: body,
-	}
-	c, err := CompileRule(rule, func(ast.PredKey) bool { return false })
-	if err != nil {
-		return nil, nil, RunStats{}, err
-	}
-	st := newStore(v.externalWith(acc), nil)
-	guard := v.newGuard()
-	ev := newQueryEvaluator(st, &guard)
-	dedup := relation.NewHashRelation("$query", len(headArgs))
-	err = ev.evalRule(c, fullRanges, func(f Fact) bool {
-		if dedup.Insert(f) {
-			guard.noteFact()
-			facts = append(facts, f)
-		}
-		return true
-	})
-	stats = acc.total()
+	vars, facts, work, err := evalQuery(body, v.externalWith(acc), v.newGuard())
+	stats = acc.total().add(work)
 	stats.Answers = len(facts)
-	stats.Attempts += ev.Attempts
-	stats.Derivations += ev.Derivations
 	if err != nil {
 		return nil, nil, stats, err
 	}

@@ -14,6 +14,7 @@ import (
 	"coral/internal/parser"
 	"coral/internal/relation"
 	"coral/internal/term"
+	"coral/internal/workload"
 )
 
 // askView runs a query string through a view and returns the sorted answer
@@ -334,5 +335,106 @@ end_module.
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// planMemoOf snapshots the plan memos of a module's programs: one line per
+// entry (query form, rule head, delta position, schedule) → the clone.
+func planMemoOf(def *ModuleDef) map[string]*Compiled {
+	out := make(map[string]*Compiled)
+	for form, p := range def.Programs() {
+		p.plans.mu.Lock()
+		for k, c := range p.plans.m {
+			out[fmt.Sprintf("%s %s/%d %s", form, k.c.HeadPred, k.delta, k.sched)] = c
+		}
+		p.plans.mu.Unlock()
+	}
+	return out
+}
+
+// TestPlanMemoConcurrentViews: sixteen views hit one cold query form at
+// once. Each gets the reference answers; between them they leave exactly the
+// memo a single caller leaves — one clone per (rule, delta, schedule, marks)
+// they chose, shared, not one per view — and later calls reuse those clones
+// pointer for pointer. The memo caches artefacts, not choices: after the
+// base relation grows a hundredfold a call fits a different schedule and
+// adds its key instead of running the stale plan. Run under -race -cpu=1,4.
+func TestPlanMemoConcurrentViews(t *testing.T) {
+	src := workload.Cycle(8) + workload.TCModule("")
+	goal := parseGoal(t, "tc(X, Y)")
+	reference := func(sys *System) string {
+		ref, _, err := refCall(sys, goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(sortedCopy(ref))
+	}
+	single := buildSystem(t, src)
+	askView(t, single.NewView(nil), "tc(X, Y)")
+	singleDef, _ := single.Module("tc")
+
+	sys := buildSystem(t, src)
+	def, _ := sys.Module("tc")
+	want := reference(sys)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, 16)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got, _, err := askViewErr(sys.NewView(nil), "tc(X, Y)")
+			if err != nil || fmt.Sprint(got) != want {
+				errs <- fmt.Errorf("concurrent cold query: %v, %v; want %s", got, err, want)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	memo := planMemoOf(def)
+	if len(memo) == 0 {
+		t.Fatal("the closure left no planned clone in the memo")
+	}
+	for key := range planMemoOf(singleDef) {
+		if memo[key] == nil {
+			t.Errorf("memo lacks %q, which a single caller leaves", key)
+		}
+	}
+	if n := len(planMemoOf(singleDef)); len(memo) != n {
+		t.Errorf("16 concurrent views left %d memo entries, a single caller %d: %v", len(memo), n, memo)
+	}
+
+	askView(t, sys.NewView(nil), "tc(X, Y)")
+	for key, c := range planMemoOf(def) {
+		if memo[key] != c {
+			t.Errorf("a warm call replaced or added memo entry %q", key)
+		}
+	}
+
+	// A /load-style growth: 100× the edges, in components of their own so the
+	// closure stays small.
+	edge, err := sys.BaseRelation("edge", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 8; i < 800; i++ {
+		edge.Insert(relation.GroundFact(term.Int(int64(1000+2*i)), term.Int(int64(1001+2*i))))
+	}
+	if got, _ := askView(t, sys.NewView(nil), "tc(X, Y)"); fmt.Sprint(got) != reference(sys) {
+		t.Errorf("after the growth the view diverges from the reference evaluator: %d answers", len(got))
+	}
+	grown := planMemoOf(def)
+	if len(grown) <= len(memo) {
+		t.Errorf("a hundredfold growth of edge chose no new schedule: memo still %v", grown)
+	}
+	for key, c := range memo {
+		if grown[key] != c {
+			t.Errorf("memo entry %q changed after the growth; entries are immutable", key)
+		}
 	}
 }
