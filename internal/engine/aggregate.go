@@ -55,7 +55,7 @@ func (me *matEval) evalAggRule(c *Compiled) (err error) {
 		SeedPos:  c.SeedPos,
 	}
 	tuples := relation.NewHashRelation("$agg", len(synthArgs))
-	err = me.ev.evalRule(synth, fullRanges, func(f Fact) bool {
+	err = me.ev.evalRule(synth, &fullRanges, func(f Fact) bool {
 		tuples.Insert(f)
 		return true
 	})

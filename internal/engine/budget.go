@@ -175,6 +175,17 @@ func (g *budgetGuard) poll() {
 	}
 }
 
+// noteAbortStats gives an abort that carries no partial RunStats yet the
+// counters of the evaluation boundary it is crossing: the trip point (a
+// guard, a worker, a scan poll) knows which budget tripped, the boundary
+// knows how far the work got.
+func noteAbortStats(err error, stats RunStats) {
+	var ab *AbortError
+	if errors.As(err, &ab) && ab.Stats == (RunStats{}) {
+		ab.Stats = stats
+	}
+}
+
 // addFact charges one accepted derived fact and reports the abort once the
 // budget is exceeded. Safe to call from parallel workers.
 func (g *budgetGuard) addFact() error {

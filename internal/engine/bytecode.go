@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"coral/internal/relation"
 	"coral/internal/term"
 )
 
@@ -16,11 +15,13 @@ import (
 // of WAM-style Datalog compilation (Brass & Stephan; the opConst/opVar/
 // opFunctor opcode streams of classic Prolog machines).
 //
-// The machine's invariants make the trail unnecessary on this path:
+// The register file is one of the nested-loops driver's two binding stores
+// (bindings, join.go); its invariants make the trail unnecessary:
 //
-//   - Registers only ever hold ground, environment-free terms. A runtime
-//     prologue (runBC) rejects any rule application whose scan ranges
-//     contain non-ground facts, so candidate arguments are always ground.
+//   - Registers only ever hold ground, environment-free terms. The driver's
+//     prologue (evaluator.bind) gives the register file only rule
+//     applications whose scan ranges hold no non-ground facts, so candidate
+//     arguments are always ground.
 //   - A register is written before it is read: first occurrences of a
 //     variable compile to a store, later occurrences to an equality
 //     compare (the specialization the flow analysis' groundness results
@@ -31,17 +32,14 @@ import (
 //     bank and is boxed lazily, so a candidate that fails a later
 //     comparison never allocates its intermediate values.
 //
-// Emission order, duplicate decisions, budget-poll cadence and statistics
-// are byte-identical with the interpreted path: the driver mirrors
-// evaluator.run frame for frame (same iterators over the same semi-naive
-// ranges, same intelligent-backtracking jumps, same per-candidate
-// Attempts++/pollBudget, same headDup skip). compilebc.go holds the
-// compiler and the eligibility rules; anything it cannot prove falls back
-// to the interpreter, as does any application whose runtime prologue
-// fails.
+// Control — scans, backtracking, counters, budget polls, duplicate skip,
+// emission — is the driver's, so it is the same whichever store binds.
+// compilebc.go holds the compiler and the eligibility rules; anything it
+// cannot prove binds in the environment store, as does any application the
+// prologue declines.
 
 // bcOp enumerates the opcodes. The three families share one dispatch
-// switch (bcExec) so tools/lint's opcheck analyzer can verify coverage:
+// switch (exec) so tools/lint's opcheck analyzer can verify coverage:
 // arg.* ops match one candidate fact, b.* ops build terms (patterns, head
 // arguments, structural "=" values), a.* ops evaluate arithmetic on the
 // unboxed value stack.
@@ -126,15 +124,12 @@ type bcBuiltin struct {
 	left, right bcOperand
 }
 
-// bcItem is one compiled body item.
+// bcItem is the compiled form of the body item at the same position of
+// bcProg.c, whose arguments are the lookup pattern's template.
 type bcItem struct {
-	kind        ItemKind
-	src         *CItem // planned item: ranges, hash marks, table-cache key
-	patBase     []term.Term
-	patOps      []bcPatOp
-	match       []bcInstr  // ItemRel candidate filter
-	bi          *bcBuiltin // ItemBuiltin
-	backtrackTo int
+	patOps []bcPatOp
+	match  []bcInstr  // ItemRel candidate filter
+	bi     *bcBuiltin // ItemBuiltin
 }
 
 // bcProg is one rule version compiled to bytecode.
@@ -180,7 +175,7 @@ func bcWrap(t term.Term) bcVal {
 
 // Register kinds for the lazy-boxing shadow bank: rkTerm means only
 // regs[r] is valid, rkInt means only iregs[r] is (the boxed form is
-// stale until bcReg memoizes it), and rkBoth means the register was
+// stale until reg memoizes it), and rkBoth means the register was
 // stored from an already-boxed term.Int so both banks are valid — match
 // stores use it to give arithmetic and comparisons the unboxed fast path
 // without paying a box on term-reads.
@@ -190,51 +185,47 @@ const (
 	rkBoth
 )
 
-// bcFrame is one nested-loops position of the bytecode driver, mirroring
-// frame in join.go minus the environment and trail machinery.
-type bcFrame struct {
-	iter relation.Iterator
-	done bool
-	any  bool
-	src  Source
-	hr   *relation.HashRelation
-	// pat is the pooled buffer bcPattern fills; active is the pattern the
-	// open scan was served with (pat, or the item's template when nothing
-	// needed substitution) — match programs compare candidates against it.
-	pat    []term.Term
-	active []term.Term
-	probe  relation.JoinProbe
-}
-
-func (fr *bcFrame) enter() {
-	fr.iter = nil
-	fr.done = false
-	fr.any = false
-}
-
-// bcMachine is the pooled register-machine state of one evaluator: the
-// register file with its unboxed integer shadow bank, the three execution
-// stacks, the loop frames, and scratch for head construction, hash-probe
-// keys, and negation probes. busy guards reentrancy (an emit callback
-// re-entering evalRule falls back to the interpreter).
+// bcMachine is the register-file binding store, pooled on its evaluator:
+// the program being run, the register file with its unboxed integer shadow
+// bank, the three execution stacks, and per-position pattern buffers plus
+// scratch for head construction.
 type bcMachine struct {
-	regs   []term.Term
-	iregs  []int64
-	rkind  []uint8
-	terms  []term.Term
-	vals   []bcVal
-	stack  [][]term.Term
-	frames []bcFrame
-	head   []term.Term
-	keys   []term.Term
-	tr     term.Trail
-	busy   bool
+	p     *bcProg
+	regs  []term.Term
+	iregs []int64
+	rkind []uint8
+	terms []term.Term
+	vals  []bcVal
+	stack [][]term.Term
+	// pats[i].buf is the pooled buffer position i's lookup pattern is filled
+	// into; pats[i].active is the pattern its open scan was served with (buf,
+	// or the item's template when nothing needed substitution) — match
+	// programs compare candidates against it.
+	pats []struct{ buf, active []term.Term }
+	hd   []term.Term
 }
 
-// bcReg reads register r as a term, boxing a parked integer once and
+// load readies the machine for one application of p. Registers are written
+// before they are read, so nothing is cleared.
+func (m *bcMachine) load(p *bcProg) {
+	m.p = p
+	if cap(m.regs) < p.nregs {
+		m.regs = make([]term.Term, p.nregs)
+		m.iregs = make([]int64, p.nregs)
+		m.rkind = make([]uint8, p.nregs)
+	}
+	for len(m.pats) < len(p.items) {
+		m.pats = append(m.pats, struct{ buf, active []term.Term }{})
+	}
+	if cap(m.hd) < len(p.head) {
+		m.hd = make([]term.Term, len(p.head))
+	}
+	m.hd = m.hd[:len(p.head)]
+}
+
+// reg reads register r as a term, boxing a parked integer once and
 // memoizing the boxed form.
-func (ev *evaluator) bcReg(r int32) term.Term {
-	m := &ev.bc
+func (m *bcMachine) reg(r int32) term.Term {
 	if m.rkind[r] == rkInt {
 		m.regs[r] = term.Int(m.iregs[r])
 		m.rkind[r] = rkTerm
@@ -242,12 +233,12 @@ func (ev *evaluator) bcReg(r int32) term.Term {
 	return m.regs[r]
 }
 
-// bcExec runs one straight-line program. cur is the candidate argument
-// list for match programs, pat the activation pattern (both nil
-// otherwise). It reports false when a match op fails; build and
-// arithmetic results are left on the machine's stacks.
-func (ev *evaluator) bcExec(p *bcProg, code []bcInstr, cur, pat []term.Term) bool {
-	m := &ev.bc
+// exec runs one straight-line program. cur is the candidate argument list
+// for match programs, pat the activation pattern (both nil otherwise). It
+// reports false when a match op fails; build and arithmetic results are
+// left on the machine's stacks.
+func (m *bcMachine) exec(code []bcInstr, cur, pat []term.Term) bool {
+	p := m.p
 	m.terms = m.terms[:0]
 	m.vals = m.vals[:0]
 	m.stack = m.stack[:0]
@@ -293,7 +284,7 @@ func (ev *evaluator) bcExec(p *bcProg, code []bcInstr, cur, pat []term.Term) boo
 			cur = m.stack[len(m.stack)-1]
 			m.stack = m.stack[:len(m.stack)-1]
 		case opBReg:
-			m.terms = append(m.terms, ev.bcReg(ins.a))
+			m.terms = append(m.terms, m.reg(ins.a))
 		case opBConst:
 			m.terms = append(m.terms, p.xr[ins.a])
 		case opBFunctor:
@@ -303,7 +294,7 @@ func (ev *evaluator) bcExec(p *bcProg, code []bcInstr, cur, pat []term.Term) boo
 			m.terms = m.terms[:len(m.terms)-fn.arity]
 			m.terms = append(m.terms, term.NewFunctor(fn.sym, args...))
 		case opAPushReg:
-			m.vals = append(m.vals, ev.bcNumVal(ins.a))
+			m.vals = append(m.vals, m.numVal(ins.a))
 		case opAPushConst:
 			m.vals = append(m.vals, p.cvals[ins.a])
 		case opAAdd, opASub, opAMul, opADiv, opAMod:
@@ -318,12 +309,11 @@ func (ev *evaluator) bcExec(p *bcProg, code []bcInstr, cur, pat []term.Term) boo
 	return true
 }
 
-// bcNumVal reads register r for arithmetic: parked integers stay unboxed,
+// numVal reads register r for arithmetic: parked integers stay unboxed,
 // numeric constants unbox, and a functor value — the runtime
 // classification admitted it as an arithmetic expression — is evaluated
-// exactly as the interpreter's EvalArith would.
-func (ev *evaluator) bcNumVal(r int32) bcVal {
-	m := &ev.bc
+// exactly as EvalArith would.
+func (m *bcMachine) numVal(r int32) bcVal {
 	if m.rkind[r] != rkTerm {
 		return bcVal{i: m.iregs[r], k: valInt}
 	}
@@ -406,22 +396,21 @@ func bcAbsVal(a bcVal) bcVal {
 	return bcWrap(absTerm(a.t))
 }
 
-// bcBuild runs a build program and returns the constructed term.
-func (ev *evaluator) bcBuild(p *bcProg, code []bcInstr) term.Term {
-	ev.bcExec(p, code, nil, nil)
-	return ev.bc.terms[len(ev.bc.terms)-1]
+// build runs a build program and returns the constructed term.
+func (m *bcMachine) build(code []bcInstr) term.Term {
+	m.exec(code, nil, nil)
+	return m.terms[len(m.terms)-1]
 }
 
-// bcClassify is the runtime arithmetic classification of one operand,
+// classify is the runtime arithmetic classification of one operand,
 // mirroring IsArithExpr over the compile-time expression shape: the shape
 // is already known arithmetic, so only the leaf registers need checking —
 // numeric values pass, functor values recurse through IsArithExpr, and
 // anything else makes the side structural.
-func (ev *evaluator) bcClassify(o *bcOperand) bool {
+func (m *bcMachine) classify(o *bcOperand) bool {
 	if o.arith == nil {
 		return false
 	}
-	m := &ev.bc
 	for _, r := range o.leaves {
 		if m.rkind[r] != rkTerm {
 			continue
@@ -439,34 +428,34 @@ func (ev *evaluator) bcClassify(o *bcOperand) bool {
 	return true
 }
 
-// bcEvalArith runs an operand's arithmetic program and pops the result.
-func (ev *evaluator) bcEvalArith(p *bcProg, o *bcOperand) bcVal {
-	ev.bcExec(p, o.arith, nil, nil)
-	return ev.bc.vals[len(ev.bc.vals)-1]
+// evalArith runs an operand's arithmetic program and pops the result.
+func (m *bcMachine) evalArith(o *bcOperand) bcVal {
+	m.exec(o.arith, nil, nil)
+	return m.vals[len(m.vals)-1]
 }
 
-// bcOperandVal resolves one comparison operand, mirroring operandValue:
+// operandVal resolves one comparison operand, mirroring operandValue:
 // runtime-arithmetic sides evaluate, others resolve structurally
 // (eligibility guarantees groundness, so the non-ground throw cannot
 // trigger here).
-func (ev *evaluator) bcOperandVal(p *bcProg, o *bcOperand) bcVal {
-	if ev.bcClassify(o) {
-		return ev.bcEvalArith(p, o)
+func (m *bcMachine) operandVal(o *bcOperand) bcVal {
+	if m.classify(o) {
+		return m.evalArith(o)
 	}
-	return bcVal{t: ev.bcBuild(p, o.build), k: valTerm}
+	return bcVal{t: m.build(o.build), k: valTerm}
 }
 
-// bcBuiltinEval executes one compiled builtin, byte-compatible with
+// builtin executes the compiled builtin at position i, byte-compatible with
 // evalBuiltin over the same bindings.
-func (ev *evaluator) bcBuiltinEval(p *bcProg, bi *bcBuiltin) bool {
-	m := &ev.bc
+func (m *bcMachine) builtin(i int) bool {
+	bi := m.p.items[i].bi
 	switch bi.kind {
 	case bcbAssign:
 		// One free variable: arithmetic sides evaluate (C1 = C + W
 		// assigns), anything else binds the structurally built value —
 		// CORAL does no type checking, so X = a + 1 stores +(a, 1).
-		if ev.bcClassify(&bi.right) {
-			v := ev.bcEvalArith(p, &bi.right)
+		if m.classify(&bi.right) {
+			v := m.evalArith(&bi.right)
 			if v.k == valInt {
 				m.iregs[bi.dst] = v.i
 				m.rkind[bi.dst] = rkInt
@@ -475,32 +464,32 @@ func (ev *evaluator) bcBuiltinEval(p *bcProg, bi *bcBuiltin) bool {
 				m.rkind[bi.dst] = rkTerm
 			}
 		} else {
-			m.regs[bi.dst] = ev.bcBuild(p, bi.right.build)
+			m.regs[bi.dst] = m.build(bi.right.build)
 			m.rkind[bi.dst] = rkTerm
 		}
 		return true
 	case bcbTest:
-		la, ra := ev.bcClassify(&bi.left), ev.bcClassify(&bi.right)
+		la, ra := m.classify(&bi.left), m.classify(&bi.right)
 		switch {
 		case la && ra:
-			av := ev.bcEvalArith(p, &bi.left)
-			bv := ev.bcEvalArith(p, &bi.right)
+			av := m.evalArith(&bi.left)
+			bv := m.evalArith(&bi.right)
 			if av.k == valInt && bv.k == valInt {
 				return av.i == bv.i
 			}
 			return term.NumCompare(av.box(), bv.box()) == 0
 		case ra:
-			l := ev.bcBuild(p, bi.left.build)
-			return term.Equal(l, ev.bcEvalArith(p, &bi.right).box())
+			l := m.build(bi.left.build)
+			return term.Equal(l, m.evalArith(&bi.right).box())
 		case la:
-			av := ev.bcEvalArith(p, &bi.left)
-			return term.Equal(av.box(), ev.bcBuild(p, bi.right.build))
+			av := m.evalArith(&bi.left)
+			return term.Equal(av.box(), m.build(bi.right.build))
 		default:
-			return term.Equal(ev.bcBuild(p, bi.left.build), ev.bcBuild(p, bi.right.build))
+			return term.Equal(m.build(bi.left.build), m.build(bi.right.build))
 		}
 	default: // bcbCompare
-		av := ev.bcOperandVal(p, &bi.left)
-		bv := ev.bcOperandVal(p, &bi.right)
+		av := m.operandVal(&bi.left)
+		bv := m.operandVal(&bi.right)
 		var c int
 		if av.k == valInt && bv.k == valInt {
 			switch {
@@ -534,264 +523,47 @@ func (ev *evaluator) bcBuiltinEval(p *bcProg, bi *bcBuiltin) bool {
 	}
 }
 
-// bcPattern fills the activation pattern for one item: the compile-time
-// template with bound positions overwritten from the registers, i.e.
-// exactly the resolved view LookupRange would compute from the
-// interpreter's environment — so index selection, pattern-index keying
-// and hash-probe bucketing are identical on both paths.
-func (ev *evaluator) bcPattern(p *bcProg, it *bcItem, fr *bcFrame) []term.Term {
-	if len(it.patOps) == 0 {
-		return it.patBase
-	}
-	if cap(fr.pat) < len(it.patBase) {
-		fr.pat = make([]term.Term, len(it.patBase))
-	}
-	fr.pat = fr.pat[:len(it.patBase)]
-	copy(fr.pat, it.patBase)
-	for i := range it.patOps {
-		po := &it.patOps[i]
-		if po.reg >= 0 {
-			fr.pat[po.pos] = ev.bcReg(po.reg)
-		} else {
-			fr.pat[po.pos] = ev.bcBuild(p, po.build)
-		}
-	}
-	return fr.pat
-}
-
-// bcOpenScan opens the scan for the relation item scheduled at body
-// position pos, mirroring lookupFor: split ranges, hash-marked build
-// tables (shared with the interpreter's cache — same keys, same bounds),
-// and the semi-naive range discipline keyed on the written occurrence.
-func (ev *evaluator) bcOpenScan(p *bcProg, it *bcItem, pos int, rr ruleRanges, fr *bcFrame) {
-	pat := ev.bcPattern(p, it, fr)
-	fr.active = pat
-	env := term.EmptyEnv()
-	ci := it.src
-	if sp := rr.Split; sp != nil && pos == sp.Pos {
-		fr.iter = fr.src.LookupRange(pat, env, sp.From, sp.To)
-		return
-	}
-	if ci.HashKeyPos != nil {
-		from, to := scanBounds(ci, rr, fr.src)
-		if bt := ev.tableFor(ci, fr.hr, from, to); bt != nil {
-			ev.HashProbes++
-			m := &ev.bc
-			if cap(m.keys) < len(ci.HashKeyPos) {
-				m.keys = make([]term.Term, len(ci.HashKeyPos))
-			}
-			m.keys = m.keys[:len(ci.HashKeyPos)]
-			for k, kp := range ci.HashKeyPos {
-				m.keys[k] = pat[kp]
-			}
-			bt.tab.ProbeValues(m.keys, &fr.probe)
-			fr.iter = &fr.probe
-			return
-		}
-	}
-	if !ci.Recursive || rr.DeltaPos < 0 {
-		fr.iter = fr.src.Lookup(pat, env)
-		return
-	}
-	from, to := scanBounds(ci, rr, fr.src)
-	fr.iter = fr.src.LookupRange(pat, env, from, to)
-}
-
-// bcHasMatch is the negation probe over a ground pattern, mirroring
-// hasMatch (whose groundness throw cannot trigger: eligibility bound
-// every negated variable). Stored facts may still be non-ground, so the
-// probe falls back to real unification against the fact's variables.
-func (ev *evaluator) bcHasMatch(fr *bcFrame, pat []term.Term) bool {
-	iter := fr.src.Lookup(pat, term.EmptyEnv())
-	// lint:allow scanloop — mirrors hasMatch: negation probes one stored
-	// relation with ground arguments; the scan is bounded by its size.
-	for {
-		f, ok := iter.Next()
-		if !ok {
-			return false
-		}
-		if f.NVars == 0 {
-			if term.EqualArgs(pat, f.Args) {
-				return true
-			}
-			continue
-		}
-		if ev.negEnv == nil {
-			ev.negEnv = term.NewEnv(f.NVars)
-		} else {
-			ev.negEnv.EnsureSlots(f.NVars)
-		}
-		matched := term.UnifyArgs(pat, term.EmptyEnv(), f.Args, ev.negEnv, &ev.bc.tr)
-		ev.bc.tr.Undo(0)
-		if matched {
-			return true
-		}
-	}
-}
-
-// runBC drives one rule application on the register machine. The prologue
-// is side-effect-free: it resolves every relation source to a plain hash
-// relation and verifies the scan ranges hold only ground facts, reporting
-// handled=false — interpreter, please — when any condition fails. Past
-// the prologue the loop mirrors evaluator.run exactly: same frame
-// discipline, same backtrack jumps, same counters and budget polls, same
-// emission order.
-func (ev *evaluator) runBC(p *bcProg, rr ruleRanges, emit emitFunc) (handled bool) {
-	m := &ev.bc
-	n := len(p.items)
-	if cap(m.frames) < n {
-		next := make([]bcFrame, n)
-		copy(next, m.frames)
-		m.frames = next
-	}
-	frames := m.frames[:n]
-	for i := range p.items {
-		it := &p.items[i]
-		fr := &frames[i]
-		switch it.kind {
-		case ItemRel:
-			src, err := ev.st.source(it.src.Pred)
-			if err != nil {
-				return false
-			}
-			hr := hashRelOf(src)
-			if hr == nil {
-				return false
-			}
-			var from, to relation.Mark
-			if sp := rr.Split; sp != nil && i == sp.Pos {
-				from, to = sp.From, sp.To
+// pattern fills the activation pattern for the item at position i: the
+// compile-time template with bound positions overwritten from the
+// registers, i.e. exactly the resolved view a lookup would compute from the
+// environment store's environment — so index selection, pattern-index
+// keying and hash-probe bucketing are identical under both stores. Every
+// variable of a negated item is bound (eligibility), so its pattern is
+// ground.
+func (m *bcMachine) pattern(i int) ([]term.Term, *term.Env) {
+	pat, ops := m.p.c.Body[i].Args, m.p.items[i].patOps
+	if len(ops) > 0 {
+		pat = append(m.pats[i].buf[:0], pat...)
+		m.pats[i].buf = pat
+		for k := range ops {
+			if po := &ops[k]; po.reg >= 0 {
+				pat[po.pos] = m.reg(po.reg)
 			} else {
-				from, to = scanBounds(it.src, rr, src)
+				pat[po.pos] = m.build(po.build)
 			}
-			if hr.NonGroundWithin(from, to) {
-				return false
-			}
-			// lint:allow roviol — fr is this round's scratch scan frame; the
-			// unwrapped relation is only read (bounded scans, index lookups)
-			// and the frame never outlives the call.
-			fr.src, fr.hr = src, hr
-		case ItemNegRel:
-			src, err := ev.st.source(it.src.Pred)
-			if err != nil {
-				return false
-			}
-			fr.src = src
 		}
 	}
-	if cap(m.regs) < p.nregs {
-		m.regs = make([]term.Term, p.nregs)
-		m.iregs = make([]int64, p.nregs)
-		m.rkind = make([]uint8, p.nregs)
-	}
-	if cap(m.head) < len(p.head) {
-		m.head = make([]term.Term, len(p.head))
-	}
-	m.head = m.head[:len(p.head)]
+	m.pats[i].active = pat
+	return pat, term.EmptyEnv()
+}
 
-	i := 0
-	frames[0].enter()
-	backtrack := func(from int, hadAny bool) int {
-		if ev.IntelligentBacktracking && !hadAny && p.items[from].kind == ItemRel {
-			return p.items[from].backtrackTo
-		}
-		return from - 1
-	}
-	for i >= 0 {
-		if i == n {
-			ev.Derivations++
-			for hi := range p.head {
-				h := &p.head[hi]
-				switch {
-				case h.reg >= 0:
-					m.head[hi] = ev.bcReg(h.reg)
-				case h.raw != nil:
-					m.head[hi] = h.raw
-				default:
-					m.head[hi] = ev.bcBuild(p, h.build)
-				}
-			}
-			if ev.headDup != nil && ev.headDup.ContainsResolved(m.head, nil) {
-				// Known duplicate: skip materializing the head fact.
-				i = n - 1
-				continue
-			}
-			if !emit(relation.GroundFact(append([]term.Term(nil), m.head...)...)) {
-				return true
-			}
-			i = n - 1
-			// A completed derivation resumes chronologically.
-			continue
-		}
-		it := &p.items[i]
-		fr := &frames[i]
-		switch it.kind {
-		case ItemBuiltin:
-			if fr.done {
-				fr.done = false
-				i = i - 1 // single-shot: no more solutions
-				continue
-			}
-			ev.Attempts++
-			ev.pollBudget()
-			if ev.bcBuiltinEval(p, it.bi) {
-				fr.done = true
-				i++
-				if i < n {
-					frames[i].enter()
-				}
-				continue
-			}
-			i = backtrack(i, false)
-		case ItemNegRel:
-			if fr.done {
-				fr.done = false
-				i = i - 1
-				continue
-			}
-			ev.Attempts++
-			ev.pollBudget()
-			if !ev.bcHasMatch(fr, ev.bcPattern(p, it, fr)) {
-				fr.done = true
-				i++
-				if i < n {
-					frames[i].enter()
-				}
-				continue
-			}
-			i = backtrack(i, false)
-		case ItemRel:
-			if fr.iter == nil {
-				ev.bcOpenScan(p, it, i, rr, fr)
-				fr.any = false
-			}
-			advanced := false
-			for {
-				f, ok := fr.iter.Next()
-				if !ok {
-					break
-				}
-				ev.Attempts++
-				ev.pollBudget()
-				if ev.bcExec(p, it.match, f.Args, fr.active) {
-					advanced = true
-					break
-				}
-			}
-			if advanced {
-				fr.any = true
-				i++
-				if i < n {
-					frames[i].enter()
-				}
-				continue
-			}
-			hadAny := fr.any
-			fr.iter = nil
-			i = backtrack(i, hadAny)
+func (m *bcMachine) match(i int, f Fact) bool {
+	return m.exec(m.p.items[i].match, f.Args, m.pats[i].active)
+}
+
+func (m *bcMachine) head() ([]term.Term, *term.Env) {
+	for hi := range m.p.head {
+		h := &m.p.head[hi]
+		switch {
+		case h.reg >= 0:
+			m.hd[hi] = m.reg(h.reg)
+		case h.raw != nil:
+			m.hd[hi] = h.raw
+		default:
+			m.hd[hi] = m.build(h.build)
 		}
 	}
-	return true
+	return m.hd, nil
 }
 
 // ---- Disassembly ----
@@ -862,14 +634,14 @@ func (p *bcProg) Disasm() string {
 		b.WriteString("\n")
 	}
 	for i := range p.items {
-		it := &p.items[i]
-		switch it.kind {
+		it, src := &p.items[i], &p.c.Body[i]
+		switch src.Kind {
 		case ItemRel, ItemNegRel:
 			kind := "rel"
-			if it.kind == ItemNegRel {
+			if src.Kind == ItemNegRel {
 				kind = "neg"
 			}
-			fmt.Fprintf(&b, "  item %d: %s %s (backtrack %d)\n", i, kind, it.src.Pred, it.backtrackTo)
+			fmt.Fprintf(&b, "  item %d: %s %s (backtrack %d)\n", i, kind, src.Pred, src.BacktrackTo)
 			for _, po := range it.patOps {
 				if po.reg >= 0 {
 					fmt.Fprintf(&b, "    pat%d <- r%d\n", po.pos, po.reg)

@@ -290,6 +290,35 @@ end_module.
 	}
 }
 
+// TestQueryAbortCarriesStats: when the top-level query rule's own amortized
+// poll is what notices the budget — before any module call's round barrier
+// does — the abort is raised from inside a scan, where nobody has counters to
+// attach. The query boundary must fill them in. Deterministic: only the
+// outer evaluator's guard can trip, and it trips on its first poll.
+// (TestInfiniteRecursionAborts/sequential-bsn hit this by timing about once
+// in a hundred runs.)
+func TestQueryAbortCarriesStats(t *testing.T) {
+	defer func(old int) { budgetCheckEvery = old }(budgetCheckEvery)
+	budgetCheckEvery = 1
+	sys, err := LoadSystem(workload.Chain(6) + workload.TCModule(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := parser.ParseQuery("tc(X, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer := budgetGuard{on: true, ctx: &countdownCtx{}}
+	_, _, stats, err := evalQuery(q.Body, sys.external, outer, &statsAcc{})
+	var ab *AbortError
+	if !errors.As(err, &ab) || ab.Tripped != AbortCanceled {
+		t.Fatalf("want a canceled *AbortError, got %v", err)
+	}
+	if ab.Stats.Attempts != 1 || ab.Stats != stats {
+		t.Errorf("abort carries %+v, the query had done %+v (one tuple considered)", ab.Stats, stats)
+	}
+}
+
 // TestAbortUnderContextCancel pins the cancel half of the contract at the
 // engine API: a context canceled mid-evaluation surfaces as *AbortError
 // with Tripped = AbortCanceled and unwraps to context.Canceled.

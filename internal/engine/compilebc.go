@@ -59,7 +59,7 @@ func compileBC(c *Compiled) (*bcProg, string) {
 	bound := make([]bool, c.NVars)
 	for i := range c.Body {
 		it := &c.Body[i]
-		item := bcItem{kind: it.Kind, src: it, backtrackTo: it.BacktrackTo}
+		var item bcItem
 		var reason string
 		switch it.Kind {
 		case ItemRel:
@@ -97,7 +97,6 @@ func compileBC(c *Compiled) (*bcProg, string) {
 // program classifies each argument as constant test, register store (first
 // occurrence), register compare (bound or repeated), or functor descent.
 func (b *bcCompiler) compileRelItem(item *bcItem, it *CItem, bound []bool) {
-	item.patBase = it.Args
 	inItem := make(map[int]bool)
 	var emit func(pos int32, t term.Term)
 	emit = func(pos int32, t term.Term) {
@@ -164,7 +163,6 @@ func (b *bcCompiler) compileRelItem(item *bcItem, it *CItem, bound []bool) {
 // environment. An unbound variable would make the interpreter throw at
 // run time; the rule stays interpreted so it still does.
 func (b *bcCompiler) compileNegItem(item *bcItem, it *CItem, bound []bool) string {
-	item.patBase = it.Args
 	for pos, a := range it.Args {
 		ha, reason := b.compileValue(a, bound)
 		if reason != "" {

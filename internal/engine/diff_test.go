@@ -319,9 +319,8 @@ end_module.
 // tail round inline (the left-linear shape; every round of the dense doubly
 // recursive one is fat) — and must still do exactly what Parallelism 1
 // does. A rule version runs the same planned path on either side of the
-// dispatch, so the work counters agree and the answer stream is identical.
-// (HashJoinBuilds may differ — pool rounds prebuild on the writer — and is
-// not compared.)
+// dispatch, over build tables the same round prologue filled, so the work
+// counters — builds included — agree and the answer stream is identical.
 func TestMixedRoundsByteIdentical(t *testing.T) {
 	for _, shape := range []struct {
 		name, rule string
@@ -354,7 +353,8 @@ func TestMixedRoundsByteIdentical(t *testing.T) {
 			if seq.HashJoinProbes == 0 {
 				t.Fatalf("the planner never hash-marked the recursive rule: %+v", seq)
 			}
-			if seq.Attempts != par.Attempts || seq.Derivations != par.Derivations || seq.HashJoinProbes != par.HashJoinProbes {
+			if seq.Attempts != par.Attempts || seq.Derivations != par.Derivations ||
+				seq.HashJoinProbes != par.HashJoinProbes || seq.HashJoinBuilds != par.HashJoinBuilds {
 				t.Errorf("the dispatch changed the work done\npar 1: %+v\npar 4: %+v", seq, par)
 			}
 			if a, b := answersInOrder(t, load(1), "p", 2), answersInOrder(t, load(4), "p", 2); !sameStrings(a, b) {

@@ -38,7 +38,7 @@ type matEval struct {
 	// The path flags below (and ev.bytecode) are set in one place,
 	// ModuleDef.configureEval, and only read elsewhere. Their zero values are
 	// the reference evaluator: written order, index lookups, the
-	// interpreter, one worker, no static estimates.
+	// environment store, one worker, no static estimates.
 
 	// parallelism is the worker budget for BSN rounds (<= 1: sequential).
 	parallelism int
@@ -77,7 +77,7 @@ func newMatEval(prog *Program, external func(ast.PredKey) (Source, error)) *matE
 	me := &matEval{prog: prog, scheds: make([]*roundSched, len(prog.Strata))}
 	me.st = newStore(external, prog.configureRelation)
 	me.st.isLocal = func(k ast.PredKey) bool { return prog.LocalPreds[k] }
-	me.ev = &evaluator{st: me.st, IntelligentBacktracking: !prog.Ann.ChronologicalBacktracking}
+	me.ev = &evaluator{evalConfig: evalConfig{st: me.st, IntelligentBacktracking: !prog.Ann.ChronologicalBacktracking}}
 	if prog.OrderedSearch {
 		me.ctx = newOSContext(me)
 	}
@@ -91,15 +91,8 @@ func (me *matEval) Err() error { return me.err }
 // the scan's business and stays zero). Saved evaluations accumulate across
 // calls; callers wanting one call's contribution subtract a before-snapshot.
 func (me *matEval) counters() RunStats {
-	st := RunStats{
-		Derivations:    me.ev.Derivations,
-		Attempts:       me.ev.Attempts,
-		Iterations:     me.Iterations,
-		ParallelRounds: me.ParRounds,
-		HashJoinBuilds: me.ev.HashBuilds,
-		HashJoinProbes: me.ev.HashProbes,
-		BytecodeRuns:   me.ev.BCRuns,
-	}
+	st := me.ev.runStats()
+	st.Iterations, st.ParallelRounds = me.Iterations, me.ParRounds
 	for _, rel := range me.st.local {
 		st.FactsStored += rel.Len()
 	}
@@ -123,16 +116,7 @@ func (me *matEval) setGuard(g budgetGuard) {
 // it get" report AbortError carries.
 func (me *matEval) fail(err error) {
 	if me.err == nil {
-		var ab *AbortError
-		if errors.As(err, &ab) && ab.Stats == (RunStats{}) {
-			ab.Stats.Derivations = me.ev.Derivations
-			ab.Stats.Attempts = me.ev.Attempts
-			ab.Stats.Iterations = me.Iterations
-			ab.Stats.ParallelRounds = me.ParRounds
-			for _, rel := range me.st.local {
-				ab.Stats.FactsStored += rel.Len()
-			}
-		}
+		noteAbortStats(err, me.counters())
 		me.err = err
 	}
 	me.finished = true
@@ -198,7 +182,7 @@ func (me *matEval) dupRel(head *relation.HashRelation) *relation.HashRelation {
 // right now: under plain magic every rewritten rule's first relation item
 // is its head's guard magic literal.
 func (me *matEval) currentCaller() *subgoal {
-	c, env := me.ev.curRule, me.ev.curEnv
+	c, env := me.ev.envs.c, me.ev.envs.env
 	if c == nil {
 		return nil
 	}
@@ -341,13 +325,14 @@ type schedRule struct {
 }
 
 // schedVersion is one delta version of a rule: the recursive item written at
-// pos scans [last, now) of table slot slot. plan is the version's fitted
-// plan, refreshed at the top of each round (BSN) or at the rule's turn (PSN).
+// rr.DeltaPos scans [last, now) of table slot slot. plan is the version's
+// fitted plan and rr the ranges and build tables it runs over, both refreshed
+// at the top of each round (BSN) or at the rule's turn (PSN) by planRule.
 type schedVersion struct {
 	rule *schedRule
-	pos  int
 	slot int
 	plan *Compiled
+	rr   ruleRanges
 }
 
 // sched returns the current stratum's schedule, building it on first use.
@@ -376,7 +361,8 @@ func (me *matEval) sched() *roundSched {
 		*r = schedRule{c: c, last: marks[i*np : (i+1)*np], dup: me.dupRel(rs.rels[c.HeadSlot]), emit: me.emitInto(c)}
 		first := len(rs.versions)
 		for _, pos := range c.RecPositions {
-			rs.versions = append(rs.versions, schedVersion{rule: r, pos: pos, slot: c.Body[pos].Slot})
+			rs.versions = append(rs.versions, schedVersion{rule: r, slot: c.Body[pos].Slot,
+				rr: ruleRanges{DeltaPos: pos, Last: r.last}})
 		}
 		r.vers = rs.versions[first:]
 	}
@@ -430,8 +416,13 @@ func (me *matEval) emitInto(c *Compiled) emitFunc {
 
 // evalFull applies rule c against full extents (exit rules, naive rounds).
 func (me *matEval) evalFull(rs *roundSched, c *Compiled, emit emitFunc) error {
+	rr := fullRanges
+	plan, err := me.planFor(c, &rr)
+	if err != nil {
+		return err
+	}
 	me.ev.headDup = me.dupRel(rs.rels[c.HeadSlot])
-	err := me.ev.evalRule(me.planFor(c, -1), fullRanges, emit)
+	err = me.ev.evalRule(plan, &rr, emit)
 	me.ev.headDup = nil
 	return err
 }
@@ -460,28 +451,29 @@ func (me *matEval) initStratum(rs *roundSched) {
 	}
 }
 
-// planRule fits the plan of every delta version of r against the current
-// statistics.
-func (me *matEval) planRule(r *schedRule) {
-	for i := range r.vers {
-		r.vers[i].plan = me.planFor(r.c, r.vers[i].pos)
-	}
-}
-
-// applyRule runs all delta versions of r on the evaluation's own evaluator,
-// each reading [r.last, now) of its delta slot and inserting as it derives.
-func (me *matEval) applyRule(r *schedRule, now []relation.Mark) error {
-	me.ev.headDup = r.dup
+// planRule is the round prologue for r: every delta version gets the ranges
+// it reads — [r.last, now) of its delta slot — a plan fitted against the
+// current statistics, and build tables valid for those ranges.
+func (me *matEval) planRule(r *schedRule, now []relation.Mark) (err error) {
 	for i := range r.vers {
 		v := &r.vers[i]
-		rr := ruleRanges{DeltaPos: v.pos, Last: r.last, Now: now}
-		if err := me.ev.evalRule(v.plan, rr, r.emit); err != nil {
-			me.ev.headDup = nil
+		v.rr.Now = now
+		if v.plan, err = me.planFor(r.c, &v.rr); err != nil {
 			return err
 		}
 	}
-	me.ev.headDup = nil
 	return nil
+}
+
+// applyRule runs all delta versions of r on the evaluation's own evaluator,
+// inserting as it derives.
+func (me *matEval) applyRule(r *schedRule) (err error) {
+	me.ev.headDup = r.dup
+	for i := 0; i < len(r.vers) && err == nil; i++ {
+		err = me.ev.evalRule(r.vers[i].plan, &r.vers[i].rr, r.emit)
+	}
+	me.ev.headDup = nil
+	return err
 }
 
 // bsnIteration is one Basic Semi-Naive round: all rules see the same
@@ -493,15 +485,15 @@ func (me *matEval) applyRule(r *schedRule, now []relation.Mark) error {
 // goroutine; both produce identical relations.
 func (me *matEval) bsnIteration(rs *roundSched) bool {
 	rs.snapshot()
-	for i := range rs.rules {
-		me.planRule(&rs.rules[i])
-	}
 	var err error
-	if w := me.workersFor(rs); w > 1 {
+	for i := 0; i < len(rs.rules) && err == nil; i++ {
+		err = me.planRule(&rs.rules[i], rs.start)
+	}
+	if w := me.workersFor(rs); w > 1 && err == nil {
 		err = me.runPool(rs, w)
 	} else {
 		for i := 0; i < len(rs.rules) && err == nil; i++ {
-			err = me.applyRule(&rs.rules[i], rs.start)
+			err = me.applyRule(&rs.rules[i])
 		}
 	}
 	if err != nil {
@@ -532,8 +524,11 @@ func (me *matEval) psnIteration(rs *roundSched) bool {
 			for s, rel := range rs.rels {
 				rs.turn[s] = rel.Snapshot()
 			}
-			me.planRule(r)
-			if err := me.applyRule(r, rs.turn); err != nil {
+			err := me.planRule(r, rs.turn)
+			if err == nil {
+				err = me.applyRule(r)
+			}
+			if err != nil {
 				return me.abortRound(rs, err)
 			}
 			copy(r.last, rs.turn)

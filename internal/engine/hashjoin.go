@@ -7,13 +7,14 @@ import "coral/internal/relation"
 //
 // The planner (plan.go) marks a scheduled body item with HashKeyPos when the
 // estimated flow of partial bindings reaching it amortizes building a
-// transient hash table over the item's scan range. lookupFor then serves the
-// item's scans from that table: the build costs one ordered pass over the
-// range, pre-sized from live statistics, and every subsequent probe is a
-// bucket lookup with zero allocations (the probe cursor lives in the join
-// frame). Within one rule application lookupFor reopens the item's scan once
-// per outer tuple, so the table is built once and probed many times; across
-// rounds the cache revalidates by range and by the relation's mutation
+// transient hash table over the item's scan range. The round prologue then
+// fills the item's slot of the version's table array (fillTables) and the
+// driver serves the item's scans from it (openScan): the build costs one
+// ordered pass over the range, pre-sized from live statistics, and every
+// probe is a bucket lookup with zero allocations (the probe cursor lives in
+// the join frame). Within one rule application the item's scan is reopened
+// once per outer tuple, so the table is built once and probed many times;
+// across rounds a slot revalidates by range and by the relation's mutation
 // counter, rebuilding only when the semi-naive marks have moved.
 //
 // Candidate order is preserved exactly: a JoinTable probe yields entries in
@@ -22,15 +23,10 @@ import "coral/internal/relation"
 // emission, duplicate decision, and the parallel round's merge order — is
 // byte-identical to the index-lookup path's.
 
-// tableCacheMax bounds the build-table cache; past it the cache is evicted
-// wholesale (entries are tied to plan versions, so steady-state evaluations
-// hold a handful).
-const tableCacheMax = 256
-
-// builtTable is one cached build table plus the coordinates it is valid
-// for: the exact ordinal range it was loaded from and the relation's
-// mutation counter at build time. Appends beyond the range do not
-// invalidate; any delete, truncation, or clear does.
+// builtTable is one build table plus the coordinates it is valid for: the
+// exact ordinal range it was loaded from and the relation's mutation counter
+// at build time. Appends beyond the range do not invalidate; any delete,
+// truncation, or clear does.
 type builtTable struct {
 	from, to relation.Mark
 	muts     int
@@ -40,19 +36,13 @@ type builtTable struct {
 // hashRelOf unwraps a Source down to its plain *HashRelation, or nil when
 // the source is anything else (module calls, computed, list relations).
 func hashRelOf(src Source) *relation.HashRelation {
-	switch s := src.(type) {
-	case *relation.HashRelation:
-		return s
-	case *relation.Prefix:
+	if p, ok := src.(*relation.Prefix); ok {
 		// Build tables over a snapshot view load the underlying relation
 		// bounded by scanBounds, whose upper mark is the view's Snapshot —
 		// the captured cap — so the table never sees past the snapshot.
-		return s.Rel()
-	case relSource:
-		hr, _ := s.r.(*relation.HashRelation)
-		return hr
+		return p.Rel()
 	}
-	return nil
+	return hashRelOfWritable(src)
 }
 
 // hashRelOfWritable is hashRelOf restricted to relations this evaluation
@@ -73,7 +63,7 @@ func hashRelOfWritable(src Source) *relation.HashRelation {
 
 // scanBounds returns the ordinal range the semi-naive discipline assigns to
 // relation item it under rr, keyed on the written occurrence (OrigPos).
-func scanBounds(it *CItem, rr ruleRanges, src Source) (relation.Mark, relation.Mark) {
+func scanBounds(it *CItem, rr *ruleRanges, src Source) (relation.Mark, relation.Mark) {
 	if !it.Recursive || rr.DeltaPos < 0 {
 		return 0, src.Snapshot()
 	}
@@ -87,37 +77,42 @@ func scanBounds(it *CItem, rr ruleRanges, src Source) (relation.Mark, relation.M
 	}
 }
 
-// tableFor returns a valid build table for the hash-marked item over
-// [from, to) of hr, building one on a miss. Read-only evaluators — the
-// parallel round's workers, which share the writer's cache — return nil on
-// a miss instead, and the caller falls back to the nested-loops path.
-func (ev *evaluator) tableFor(it *CItem, hr *relation.HashRelation, from, to relation.Mark) *builtTable {
-	bt := ev.tables[it]
-	if bt != nil && bt.from == from && bt.to == to &&
-		bt.muts == hr.Mutations() && hr.Snapshot() >= to {
-		return bt
+// fillTables is the table step of the round prologue: it walks the planned
+// version p in schedule order and makes the slot of every hash-marked item
+// hold a table valid for the range rr assigns the item, rebuilding the ones
+// whose range or relation has moved since they were built. The walk stops
+// behind the first hash relation whose range is empty — the join cannot get
+// past it this round, so nothing to its right is probed. Runs on the
+// evaluation's writer goroutine, before the version is applied inline or
+// handed to pool workers; the builds poll the budget, and a trip comes back
+// as the round's error.
+func (me *matEval) fillTables(p *cachedPlan, rr *ruleRanges) (err error) {
+	defer recoverEval(&err)
+	for i := range p.planned.Body {
+		it := &p.planned.Body[i]
+		hr := p.rels[it.OrigPos]
+		if it.Kind != ItemRel || hr == nil {
+			continue // only a hash relation's marks say what a scan will cover
+		}
+		from, to := scanBounds(it, rr, p.srcs[it.OrigPos])
+		if bt := p.tables[i]; it.HashKeyPos != nil && (bt == nil || bt.from != from ||
+			bt.to != to || bt.muts != hr.Mutations() || hr.Snapshot() < to) {
+			p.tables[i] = me.ev.buildTable(it, hr, from, to)
+		}
+		if from >= to {
+			break
+		}
 	}
-	if ev.tablesRO {
-		return nil
-	}
-	return ev.buildTable(it, hr, from, to)
+	return nil
 }
 
 // buildTable loads [from, to) of hr into a fresh table keyed on
-// it.HashKeyPos and caches it under the item. The table is pre-sized from
-// the relation's live statistics: the fact slice to the range's row count
-// and the bucket map to the key's estimated distinct count (a multi-position
-// key has at least as many distinct values as its most selective position).
-// Runs only on the evaluation's writer goroutine (like planFor); the build
-// loop polls the budget, so it may throw.
+// it.HashKeyPos. The table is pre-sized from the relation's live statistics:
+// the fact slice to the range's row count and the bucket map to the key's
+// estimated distinct count (a multi-position key has at least as many
+// distinct values as its most selective position). The build loop polls the
+// budget, so it may throw.
 func (ev *evaluator) buildTable(it *CItem, hr *relation.HashRelation, from, to relation.Mark) *builtTable {
-	if ev.tables == nil {
-		ev.tables = make(map[*CItem]*builtTable)
-	} else if len(ev.tables) >= tableCacheMax {
-		for k := range ev.tables {
-			delete(ev.tables, k)
-		}
-	}
 	st := hr.Stats()
 	rows := int(to - from)
 	if rows > st.Rows {
@@ -144,32 +139,5 @@ func (ev *evaluator) buildTable(it *CItem, hr *relation.HashRelation, from, to r
 		bt.tab.Add(f)
 	}
 	ev.HashBuilds++
-	ev.tables[it] = bt
 	return bt
-}
-
-// prebuildTables builds, on the writer goroutine, every build table a
-// planned rule version will want, so the parallel round's workers can probe
-// the shared cache read-only. A source that fails to resolve is skipped —
-// the evaluation itself surfaces that error. The builds poll the budget, so
-// a trip is returned as the round's error.
-func (me *matEval) prebuildTables(c *Compiled, rr ruleRanges) (err error) {
-	defer recoverEval(&err)
-	for i := range c.Body {
-		it := &c.Body[i]
-		if it.HashKeyPos == nil {
-			continue
-		}
-		src, serr := me.st.source(it.Pred)
-		if serr != nil {
-			continue
-		}
-		hr := hashRelOf(src)
-		if hr == nil {
-			continue
-		}
-		from, to := scanBounds(it, rr, src)
-		me.ev.tableFor(it, hr, from, to)
-	}
-	return nil
 }

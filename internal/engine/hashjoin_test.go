@@ -124,6 +124,111 @@ end_module.
 	}
 }
 
+// TestDriftReplanRebuildsTables: build tables are state the round owns — one
+// slot per schedule position on the evaluation's plan entry for the rule
+// version, filled by the round prologue. A closure seeded from five nodes of
+// a 100-node graph starts with a recursive relation far too small to
+// amortize a build over edge, so its delta version runs unmarked; as the
+// relation doubles the drift check re-fits, the re-fit hash-marks edge, and
+// the version's entry must come back with a fresh slot array whose marked
+// slot the same prologue has filled. edge's range never moves, so that one
+// build serves every later round; the answers are the reference's.
+func TestDriftReplanRebuildsTables(t *testing.T) {
+	src := workload.RandomGraph(100, 200, 3) + `
+start(0). start(1). start(2). start(3). start(4).
+module m.
+export p(ff).
+@rewrite none.
+p(X, Y) :- start(X), edge(X, Y).
+p(X, Y) :- p(X, Z), edge(Z, Y).
+end_module.
+`
+	sys, err := LoadSystem(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := parseGoal(t, "p(X, Y)")
+	want, _, err := refCall(sys, goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, _ := sys.Export(goal.Key())
+	var me *matEval
+	cfg := sys.defaultCfg()
+	cfg.onEval = func(m *matEval) { me = m }
+	it, err := def.callWith(cfg, goal.Key(), goal.Args, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := me.prog.Strata[len(me.prog.Strata)-1].RecRules[0]
+	key := planKey{c: rec, delta: rec.RecPositions[0]}
+	var unmarked, marked *cachedPlan
+	for !me.finished {
+		me.step()
+		switch p := me.plans[key]; {
+		case p == nil:
+		case p.tables == nil:
+			if marked != nil {
+				t.Fatal("the version went back to an unmarked plan; the test's premise is gone")
+			}
+			unmarked = p
+		case marked == nil:
+			marked = p
+			slot := -1
+			for i := range p.planned.Body {
+				if p.planned.Body[i].HashKeyPos != nil {
+					slot = i
+				}
+			}
+			if bt := p.tables[slot]; bt == nil || int(bt.to-bt.from) != 200 {
+				t.Fatalf("the re-fit marked position %d but the round prologue left its slot %+v", slot, bt)
+			}
+		}
+	}
+	if me.err != nil {
+		t.Fatal(me.err)
+	}
+	if unmarked == nil || marked == nil || unmarked == marked {
+		t.Fatalf("no drift re-plan changed the version's hash marks (unmarked %v, marked %v)", unmarked != nil, marked != nil)
+	}
+	if st := me.counters(); st.HashJoinBuilds != 1 || st.HashJoinProbes == 0 {
+		t.Errorf("one build over edge should serve every round after the re-fit: %+v", st)
+	}
+	var got []string
+	for f, ok := it.Next(); ok; f, ok = it.Next() {
+		got = append(got, f.String())
+	}
+	if !sameStrings(sortedCopy(got), sortedCopy(want)) {
+		t.Errorf("answers diverge from the reference evaluator: %d vs %d", len(got), len(want))
+	}
+}
+
+// TestHashProbeBehindModuleCall: a module call keeps no marks (its Snapshot
+// is 0), so the round prologue cannot read "empty range" off it and must
+// still fill the slot of the hash-marked literal to its right.
+func TestHashProbeBehindModuleCall(t *testing.T) {
+	src := workload.RandomGraph(40, 160, 9) + `
+module a.
+export r(ff).
+r(X, Y) :- edge(X, Y).
+end_module.
+module b.
+export q(ff).
+q(X, Y) :- r(X, Z), edge(Z, Y).
+end_module.
+`
+	if got := diffGoal(t, src, "q(X, Y)"); len(got) == 0 {
+		t.Fatal("no answers")
+	}
+	sys, err := LoadSystem(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st := measureModule(t, sys, "q", term.NewVar("X"), term.NewVar("Y")); st.HashJoinProbes == 0 {
+		t.Fatalf("the planner did not hash-mark the literal behind the module call; the case is not exercised: %+v", st)
+	}
+}
+
 // TestWritableUnwrapRefusesPrefix: hashRelOfWritable is the accessor index
 // creation (ensurePlanIndexes) goes through, and it must never unwrap a
 // snapshot view down to the writable relation underneath — a MakeIndex

@@ -23,12 +23,16 @@ import (
 // subrange of whatever the discipline above would give that item.
 //
 // Last and Now are indexed by CItem.Slot, the item's predicate in its
-// stratum's predicate table.
+// stratum's predicate table. Tables is indexed by schedule position: the
+// build table of every hash-marked item the application can reach, filled by
+// the round prologue (planFor) and only read from here on — by the caller's
+// evaluator or by any number of pool workers.
 type ruleRanges struct {
 	DeltaPos int
 	Last     []relation.Mark
 	Now      []relation.Mark
 	Split    *splitRange
+	Tables   []*builtTable
 }
 
 // splitRange restricts one body position's scan to an ordinal chunk.
@@ -39,49 +43,134 @@ type splitRange struct {
 
 var fullRanges = ruleRanges{DeltaPos: -1}
 
-// frame is one nested-loops position: its open scan plus the pooled
-// environment candidate facts are unified in. The fact environment is
-// reusable because every binding into it is trailed — undoing to the
-// frame's mark restores it to fully unbound.
+// bindings is a binding store: where the variable bindings of one rule
+// application live while the nested-loops driver (evaluator.run) walks the
+// body. The driver owns control — frames, scans, backtracking, counters,
+// emission — and asks the store to evaluate one item against the bindings
+// made to its left. Every operation at position i first drops whatever was
+// bound at i or to its right, and a successful one leaves position i's
+// bindings in place for the positions after it.
+//
+// There are two stores. envStore (below) is the general one: environment
+// plus trail, full unification, non-ground facts, any source. The register
+// file (bcMachine, bytecode.go) runs rules of the compiled fragment and may
+// assume every candidate fact is ground, which bind establishes before
+// choosing it.
+type bindings interface {
+	// builtin evaluates the builtin at position i.
+	builtin(i int) bool
+	// pattern returns the relation or negation item at i as a lookup
+	// pattern under env, with everything bound to its left visible. A
+	// negation's pattern must come out ground.
+	pattern(i int) ([]term.Term, *term.Env)
+	// match unifies candidate f with the relation item at i.
+	match(i int, f Fact) bool
+	// head returns the head arguments under env.
+	head() ([]term.Term, *term.Env)
+}
+
+// frame is the driver's state for one nested-loops position.
 type frame struct {
-	iter relation.Iterator // nil for builtins/negation (single-shot)
-	fenv *term.Env         // pooled fact env for this position's candidates
-	mark int               // trail mark before this item's bindings
-	done bool              // single-shot item already satisfied
+	src  Source            // the item's relation, resolved once per application (sourceOf)
+	iter relation.Iterator // the open scan; nil between activations
+	done bool              // single-shot item (builtin, negation) already satisfied
 	any  bool              // this activation yielded at least one tuple
-	// probe is the pooled hash-join cursor: lookupFor resets it in place
-	// for hash-marked items, so reopening the scan per outer tuple
-	// allocates nothing (living in the frame keeps reentrant evaluations
-	// safe, unlike an evaluator-level pool would).
+	// probe is the pooled hash-join cursor: openScan resets it in place for
+	// hash-marked items, so reopening the scan per outer tuple allocates
+	// nothing.
 	probe relation.JoinProbe
 }
 
-// enter (re)initializes the frame for a new activation, keeping the pooled
-// fact environment.
-func (fr *frame) enter(mark int) {
-	fr.iter = nil
-	fr.mark = mark
-	fr.done = false
-	fr.any = false
+// envStore is the environment-and-trail binding store (paper §5.3: "a trail
+// of variable bindings is maintained and used to undo bindings when the join
+// considers the next tuple in any loop"). marks[i] is the trail height
+// before position i's bindings; fenvs[i] is the pooled environment position
+// i's candidate facts are unified in — reusable because every binding into
+// it is trailed.
+type envStore struct {
+	c     *Compiled
+	env   *term.Env
+	tr    *term.Trail
+	marks []int
+	fenvs []*term.Env
 }
+
+// load readies the store for one application of c over an empty trail.
+func (s *envStore) load(c *Compiled, tr *term.Trail) {
+	s.c, s.tr = c, tr
+	if s.env == nil {
+		s.env = term.NewEnv(c.NVars)
+	} else {
+		s.env.EnsureSlots(c.NVars)
+	}
+	for len(s.marks) <= len(c.Body) {
+		s.marks = append(s.marks, 0)
+		s.fenvs = append(s.fenvs, nil)
+	}
+}
+
+func (s *envStore) builtin(i int) bool {
+	it := &s.c.Body[i]
+	s.tr.Undo(s.marks[i])
+	// A failed builtin may leave partial bindings (a "=" unifies some
+	// subterms before failing); they go with the next operation's undo,
+	// which is at this position or one to its left.
+	ok := evalBuiltin(it.Op, it.Args, s.env, s.tr)
+	s.marks[i+1] = s.tr.Mark()
+	return ok
+}
+
+func (s *envStore) pattern(i int) ([]term.Term, *term.Env) {
+	it := &s.c.Body[i]
+	s.tr.Undo(s.marks[i])
+	if it.Kind == ItemNegRel {
+		for _, a := range it.Args {
+			if !term.GroundUnder(a, s.env) {
+				throwf("engine: negation on %s with unbound argument %s", it.Pred, a)
+			}
+		}
+		s.marks[i+1] = s.marks[i] // a negation binds nothing
+	}
+	return it.Args, s.env
+}
+
+func (s *envStore) match(i int, f Fact) bool {
+	it := &s.c.Body[i]
+	s.tr.Undo(s.marks[i])
+	if it.ArgsGround && f.NVars == 0 {
+		// Ground vs ground: equality, decided on hash-cons identifiers, with
+		// no environments touched.
+		s.marks[i+1] = s.marks[i]
+		return term.EqualArgs(it.Args, f.Args)
+	}
+	if !term.UnifyArgs(it.Args, s.env, f.Args, factEnv(&s.fenvs[i], f.NVars), s.tr) {
+		s.tr.Undo(s.marks[i])
+		return false
+	}
+	s.marks[i+1] = s.tr.Mark()
+	return true
+}
+
+func (s *envStore) head() ([]term.Term, *term.Env) { return s.c.HeadArgs, s.env }
 
 // factEnv returns an environment for a candidate fact: the shared empty
 // environment for ground facts (the common case — never a Bind target), or
-// the frame's pooled environment grown to the fact's variable count.
-func (fr *frame) factEnv(nvars int) *term.Env {
+// the pooled one grown to the fact's variable count.
+func factEnv(pool **term.Env, nvars int) *term.Env {
 	if nvars == 0 {
 		return term.EmptyEnv()
 	}
-	if fr.fenv == nil {
-		fr.fenv = term.NewEnv(nvars)
+	if *pool == nil {
+		*pool = term.NewEnv(nvars)
 	} else {
-		fr.fenv.EnsureSlots(nvars)
+		(*pool).EnsureSlots(nvars)
 	}
-	return fr.fenv
+	return *pool
 }
 
-// evaluator runs compiled rules against a store.
-type evaluator struct {
+// evalConfig is what an evaluator is told about its evaluation; a pool
+// worker's evaluator is the writer's configuration over fresh state.
+type evalConfig struct {
 	st *store
 	// IntelligentBacktracking enables the precomputed backtrack points
 	// (paper §4.2); when false, failures backtrack chronologically.
@@ -89,19 +178,63 @@ type evaluator struct {
 	// trace, when non-nil, records one justification per derived fact for
 	// the Explanation tool.
 	trace *TraceLog
-	// curRule/curEnv identify the live rule instantiation while emit runs;
-	// Ordered Search reads them to attribute derived magic facts to their
-	// calling subgoal.
-	curRule *Compiled
-	curEnv  *term.Env
-	// Pooled per-activation state, reused across evalRule calls: the rule
-	// environment, the trail, the loop frames (with their fact envs), and
-	// the negation scratch env. busy guards against reentrant evalRule
-	// (e.g. through an emit callback), which falls back to fresh
-	// allocations.
-	env    *term.Env
-	tr     *term.Trail
+	// guard, when non-nil, is polled amortized — once per budgetCheckEvery
+	// tuples considered — so a long scan notices cancellation and deadlines
+	// between round barriers. nil costs one branch per tuple.
+	guard *budgetGuard
+	// bytecode lets rule versions in the compiled fragment (Compiled.program)
+	// bind in the register file (bytecode.go). Whoever sets trace leaves it
+	// false (justifications capture live environments), as does Ordered
+	// Search (magic-fact attribution reads the live environment mid-emit) —
+	// see configureEval.
+	bytecode bool
+}
+
+// evalCounters is the work an evaluator has done.
+type evalCounters struct {
+	Derivations int // successful head instantiations
+	Attempts    int // tuples considered across all loops
+	HashBuilds  int // join build tables constructed
+	HashProbes  int // scans served from a build table
+	BCRuns      int // rule applications bound in the register file
+}
+
+func (c *evalCounters) add(o evalCounters) {
+	c.Derivations += o.Derivations
+	c.Attempts += o.Attempts
+	c.HashBuilds += o.HashBuilds
+	c.HashProbes += o.HashProbes
+	c.BCRuns += o.BCRuns
+}
+
+// runStats reports the counters in RunStats' terms; the fields an evaluator
+// does not know (answers, rounds, stored facts) stay zero for the caller.
+func (c evalCounters) runStats() RunStats {
+	return RunStats{
+		Derivations:    c.Derivations,
+		Attempts:       c.Attempts,
+		HashJoinBuilds: c.HashBuilds,
+		HashJoinProbes: c.HashProbes,
+		BytecodeRuns:   c.BCRuns,
+	}
+}
+
+// evaluator runs compiled rules against a store.
+type evaluator struct {
+	evalConfig
+	evalCounters
+	// Pooled per-application state, reused across evalRule calls: the loop
+	// frames, the two binding stores, the trail (the environment store's
+	// bindings and the negation probe's) and the negation scratch env. busy
+	// marks it in use; a reentrant evalRule (through an emit callback or a
+	// source calling back in) runs on a scratch evaluator instead. While emit
+	// runs, envs.c and envs.env are the live rule instantiation (nil in the
+	// register file's applications); Ordered Search reads them to attribute
+	// derived magic facts to their calling subgoal.
 	frames []frame
+	envs   envStore
+	bc     bcMachine
+	tr     term.Trail
 	negEnv *term.Env
 	busy   bool
 	// headDup, when non-nil, is the relation the current rule's head facts
@@ -110,31 +243,8 @@ type evaluator struct {
 	// anyway). Callers set it only when the skip is unobservable — not under
 	// Ordered Search (availability is deferred to the context), tracing
 	// (justifications are recorded per derivation), or multisets.
-	headDup *relation.HashRelation
-	// guard, when non-nil, is polled amortized — once per budgetCheckEvery
-	// tuples considered — so a long scan notices cancellation and deadlines
-	// between round barriers. nil costs one branch per tuple.
-	guard      *budgetGuard
+	headDup    *relation.HashRelation
 	budgetTick int
-	// tables is the build-table cache for hash-marked items (hashjoin.go),
-	// keyed by planned item identity. tablesRO marks worker evaluators,
-	// which share the writer's cache read-only and fall back to nested
-	// loops on a miss.
-	tables   map[*CItem]*builtTable
-	tablesRO bool
-	// bytecode routes rule versions in the compiled fragment (Compiled.program)
-	// through the register machine (bytecode.go); bc is the pooled machine
-	// state. Whoever sets trace leaves bytecode false (justifications
-	// capture live environments), as does Ordered Search (magic-fact
-	// attribution reads curRule/curEnv mid-emit) — see configureEval.
-	bytecode bool
-	bc       bcMachine
-	// stats
-	Derivations int // successful head instantiations
-	Attempts    int // tuples considered across all loops
-	HashBuilds  int // join build tables constructed
-	HashProbes  int // scans served from a build table
-	BCRuns      int // rule applications run on the bytecode machine
 }
 
 // emitFunc receives each derived head fact; returning false stops the rule
@@ -145,9 +255,14 @@ type emitFunc func(Fact) bool
 // tuples it consults the guard, which throws an *AbortError through the
 // panic channel on a tripped budget (recovered in evalRule).
 func (ev *evaluator) pollBudget() {
-	if ev.guard == nil {
-		return
+	if ev.guard != nil {
+		ev.tickBudget()
 	}
+}
+
+// tickBudget is pollBudget's guarded half, out of line so that the nil check
+// inlines into the join loop.
+func (ev *evaluator) tickBudget() {
 	if ev.budgetTick++; ev.budgetTick >= budgetCheckEvery {
 		ev.budgetTick = 0
 		ev.guard.poll()
@@ -155,79 +270,82 @@ func (ev *evaluator) pollBudget() {
 }
 
 // evalRule evaluates one rule version, calling emit for every derivation.
-// Eligible versions run on the register bytecode machine; the machine's
-// run-time prologue can still decline (non-hash sources, non-ground scan
-// ranges), in which case — having done nothing observable — evaluation
-// falls through to the interpreter.
-func (ev *evaluator) evalRule(c *Compiled, rr ruleRanges, emit emitFunc) error {
-	var err error
-	if ev.bytecode && !ev.bc.busy {
-		if p := c.program(); p != nil {
-			handled := false
-			ev.bc.busy = true
-			func() {
-				defer recoverEval(&err)
-				handled = ev.runBC(p, rr, emit)
-			}()
-			ev.bc.busy = false
-			if handled || err != nil {
-				ev.BCRuns++
-				return err
-			}
-		}
+func (ev *evaluator) evalRule(c *Compiled, rr *ruleRanges, emit emitFunc) (err error) {
+	if ev.busy {
+		sub := evaluator{evalConfig: ev.evalConfig, headDup: ev.headDup}
+		err = sub.evalRule(c, rr, emit)
+		ev.add(sub.evalCounters)
+		return err
 	}
-	env, tr, frames, pooled := ev.acquire(c)
+	ev.busy = true
 	func() {
 		defer recoverEval(&err)
-		ev.run(c, rr, env, tr, frames, emit)
+		for len(ev.frames) < len(c.Body) {
+			ev.frames = append(ev.frames, frame{})
+		}
+		frames := ev.frames[:len(c.Body)]
+		ev.run(c, rr, ev.bind(c, rr, frames), frames, emit)
 	}()
-	if pooled {
-		// Every binding — including into pooled fact envs — is trailed, so
-		// one undo returns all pooled environments to fully unbound, even
-		// when a throw unwound the join mid-flight.
-		tr.Undo(0)
-		ev.busy = false
-	}
+	// Every binding — including into pooled fact envs — is trailed, so one
+	// undo returns all pooled environments to fully unbound, even when a
+	// throw unwound the join mid-flight.
+	ev.tr.Undo(0)
+	ev.envs.c = nil
+	ev.busy = false
 	return err
 }
 
-// acquire returns the per-activation state for one rule evaluation,
-// preferring the evaluator's pooled state.
-func (ev *evaluator) acquire(c *Compiled) (*term.Env, *term.Trail, []frame, bool) {
-	if ev.busy {
-		return term.NewEnv(c.NVars), &term.Trail{}, make([]frame, len(c.Body)), false
+// bind picks the application's binding store — the one place that choice is
+// made. The register file takes the application when the evaluation allows
+// it (evalConfig.bytecode), the rule is in the compiled fragment, every
+// positive literal reads a plain hash relation, and the ranges those scans
+// will cover hold only ground facts; anything else binds in the environment
+// store. Nothing observable happens here: the sources looked at on the way
+// stay in the frames, and one that fails to resolve throws when (if) the
+// join reaches it (sourceOf).
+func (ev *evaluator) bind(c *Compiled, rr *ruleRanges, frames []frame) bindings {
+	regs := ev.bytecode && c.program() != nil
+	for i := range c.Body {
+		it, fr := &c.Body[i], &frames[i]
+		fr.src = nil
+		if !regs || it.Kind == ItemBuiltin {
+			continue
+		}
+		var err error
+		if fr.src, err = ev.st.source(it.Pred); err != nil {
+			regs = false
+		} else if it.Kind == ItemRel {
+			from, to := scanBounds(it, rr, fr.src)
+			if sp := rr.Split; sp != nil && i == sp.Pos {
+				from, to = sp.From, sp.To
+			}
+			hr := hashRelOf(fr.src)
+			regs = hr != nil && !hr.NonGroundWithin(from, to)
+		}
 	}
-	ev.busy = true
-	if ev.env == nil {
-		ev.env = term.NewEnv(c.NVars)
-		ev.tr = &term.Trail{}
-	} else {
-		ev.env.EnsureSlots(c.NVars)
+	if regs {
+		ev.BCRuns++
+		ev.bc.load(c.program())
+		return &ev.bc
 	}
-	for len(ev.frames) < len(c.Body) {
-		ev.frames = append(ev.frames, frame{})
-	}
-	return ev.env, ev.tr, ev.frames[:len(c.Body)], true
+	ev.envs.load(c, &ev.tr)
+	return &ev.envs
 }
 
-// run drives the nested-loops join. It uses explicit iterator frames so
-// intelligent backtracking can jump over positions that cannot change a
-// failed literal's bindings.
-func (ev *evaluator) run(c *Compiled, rr ruleRanges, env *term.Env, tr *term.Trail, frames []frame, emit emitFunc) {
-	ev.curRule, ev.curEnv = c, env
-	defer func() { ev.curRule, ev.curEnv = nil, nil }()
+// run drives the nested-loops join over binding store s. It uses explicit
+// iterator frames so intelligent backtracking can jump over positions that
+// cannot change a failed literal's bindings.
+func (ev *evaluator) run(c *Compiled, rr *ruleRanges, s bindings, frames []frame, emit emitFunc) {
 	n := len(c.Body)
-	if n == 0 {
-		ev.Derivations++
-		head := relation.NewFact(c.HeadArgs, env)
-		if ev.trace != nil {
-			ev.capture(c, head, env)
+	// enter readies position i for a fresh activation. A backjump leaves the
+	// frames it skipped as they were, so leaving a frame cannot be relied on
+	// to have cleared it.
+	enter := func(i int) {
+		if i < n {
+			frames[i].iter, frames[i].done = nil, false
 		}
-		emit(head)
-		return
 	}
-	i := 0
-	frames[0].enter(tr.Mark())
+	enter(0)
 
 	// backtrack moves control left from a failed position. Backjumping to
 	// the precomputed point is only sound when the activation produced no
@@ -242,161 +360,116 @@ func (ev *evaluator) run(c *Compiled, rr ruleRanges, env *term.Env, tr *term.Tra
 		return from - 1
 	}
 
-	for i >= 0 {
+	for i := 0; i >= 0; {
 		if i == n {
 			ev.Derivations++
-			if ev.headDup != nil && ev.headDup.ContainsResolved(c.HeadArgs, env) {
-				// Known duplicate: skip materializing the head fact.
-				i = n - 1
-				continue
+			// A completed derivation resumes chronologically (every
+			// binding may participate in the next answer).
+			i = n - 1
+			args, env := s.head()
+			if ev.headDup != nil && ev.headDup.ContainsResolved(args, env) {
+				continue // known duplicate: skip materializing the head fact
 			}
-			head := relation.NewFact(c.HeadArgs, env)
+			head := relation.NewFact(args, env)
 			if ev.trace != nil {
 				ev.capture(c, head, env)
 			}
 			if !emit(head) {
 				return
 			}
-			i = n - 1
-			// A completed derivation resumes chronologically (every
-			// binding may participate in the next answer).
 			continue
 		}
-		it := &c.Body[i]
-		fr := &frames[i]
-		switch it.Kind {
-		case ItemBuiltin:
-			tr.Undo(fr.mark)
+		it, fr := &c.Body[i], &frames[i]
+		if it.Kind != ItemRel {
+			// Builtins and negations are single-shot: one solution or none.
 			if fr.done {
 				fr.done = false
-				i = i - 1 // single-shot: no more solutions
+				i--
 				continue
 			}
 			ev.Attempts++
 			ev.pollBudget()
-			if evalBuiltin(it.Op, it.Args, env, tr) {
-				fr.done = true
-				i++
-				if i < n {
-					frames[i].enter(tr.Mark())
-				}
-				continue
+			if it.Kind == ItemBuiltin {
+				fr.done = s.builtin(i)
+			} else {
+				fr.done = !ev.hasMatch(it, fr, s, i)
 			}
-			// A failed builtin may leave partial bindings (a "=" unifies
-			// some subterms before failing); no undo here, because every
-			// continuation re-enters through one — each case above starts
-			// with an undo to its own frame's (earlier or equal) mark, and
-			// rule exit unwinds the trail to its start.
-			i = backtrack(i, false)
-		case ItemNegRel:
-			tr.Undo(fr.mark)
 			if fr.done {
-				fr.done = false
-				i = i - 1
-				continue
-			}
-			ev.Attempts++
-			ev.pollBudget()
-			if !ev.hasMatch(it, env, tr) {
-				fr.done = true
 				i++
-				if i < n {
-					frames[i].enter(tr.Mark())
-				}
-				continue
+				enter(i)
+			} else {
+				i = backtrack(i, false)
 			}
-			i = backtrack(i, false)
-		case ItemRel:
-			if fr.iter == nil {
-				fr.iter = ev.lookupFor(it, i, rr, env, fr)
-				fr.any = false
-			}
-			tr.Undo(fr.mark)
-			advanced := false
-			for {
-				f, ok := fr.iter.Next()
-				if !ok {
-					break
-				}
-				ev.Attempts++
-				ev.pollBudget()
-				if it.ArgsGround && f.NVars == 0 {
-					// Ground vs ground: equality, decided on hash-cons
-					// identifiers, with no environments touched.
-					if term.EqualArgs(it.Args, f.Args) {
-						advanced = true
-						break
-					}
-					continue
-				}
-				if term.UnifyArgs(it.Args, env, f.Args, fr.factEnv(f.NVars), tr) {
-					advanced = true
-					break
-				}
-				tr.Undo(fr.mark)
-			}
-			if advanced {
-				fr.any = true
-				i++
-				if i < n {
-					frames[i].enter(tr.Mark())
-				}
-				continue
-			}
-			hadAny := fr.any
-			fr.iter = nil
-			i = backtrack(i, hadAny)
+			continue
 		}
+		if fr.iter == nil {
+			fr.iter = ev.openScan(it, i, rr, fr, s)
+			fr.any = false
+		}
+		advanced := false
+		for !advanced {
+			f, ok := fr.iter.Next()
+			if !ok {
+				break
+			}
+			ev.Attempts++
+			ev.pollBudget()
+			advanced = s.match(i, f)
+		}
+		if advanced {
+			fr.any = true
+			i++
+			enter(i)
+			continue
+		}
+		fr.iter = nil
+		i = backtrack(i, fr.any)
 	}
 }
 
-// lookupFor opens the scan for the relation item scheduled at body position
+// sourceOf resolves the relation of the item in frame fr — once per
+// application, not once per scan the application opens.
+func (ev *evaluator) sourceOf(it *CItem, fr *frame) Source {
+	if fr.src == nil {
+		src, err := ev.st.source(it.Pred)
+		if err != nil {
+			throwf("%v", err)
+		}
+		fr.src = src
+	}
+	return fr.src
+}
+
+// openScan opens the scan for the relation item scheduled at body position
 // pos, applying the semi-naive range discipline for recursive items. The
 // discipline keys on the item's written position (OrigPos), so a planned
 // schedule reads exactly the ranges the written rule would. Items the
-// planner hash-marked are served from a build table instead (hashjoin.go),
-// resetting the frame's pooled probe cursor; a worker-side cache miss falls
-// through to the ordinary lookup path.
-func (ev *evaluator) lookupFor(it *CItem, pos int, rr ruleRanges, env *term.Env, fr *frame) relation.Iterator {
-	src, err := ev.st.source(it.Pred)
-	if err != nil {
-		throwf("%v", err)
-	}
+// planner hash-marked are served from their build table instead
+// (hashjoin.go), resetting the frame's pooled probe cursor.
+func (ev *evaluator) openScan(it *CItem, pos int, rr *ruleRanges, fr *frame, s bindings) relation.Iterator {
+	src := ev.sourceOf(it, fr)
+	pat, env := s.pattern(pos)
 	if sp := rr.Split; sp != nil && pos == sp.Pos {
-		return src.LookupRange(it.Args, env, sp.From, sp.To)
+		return src.LookupRange(pat, env, sp.From, sp.To)
 	}
 	if it.HashKeyPos != nil {
-		if hr := hashRelOf(src); hr != nil {
-			from, to := scanBounds(it, rr, src)
-			if bt := ev.tableFor(it, hr, from, to); bt != nil {
-				ev.HashProbes++
-				bt.tab.Probe(it.Args, env, &fr.probe)
-				return &fr.probe
-			}
-		}
+		ev.HashProbes++
+		rr.Tables[pos].tab.Probe(pat, env, &fr.probe)
+		return &fr.probe
 	}
 	if !it.Recursive || rr.DeltaPos < 0 {
-		return src.Lookup(it.Args, env)
+		return src.Lookup(pat, env)
 	}
 	from, to := scanBounds(it, rr, src)
-	return src.LookupRange(it.Args, env, from, to)
+	return src.LookupRange(pat, env, from, to)
 }
 
 // hasMatch reports whether any fact of the negated item's relation unifies
-// with its (ground) arguments. Negation requires the arguments to be ground
-// at evaluation time.
-func (ev *evaluator) hasMatch(it *CItem, env *term.Env, tr *term.Trail) bool {
-	for _, a := range it.Args {
-		if !term.GroundUnder(a, env) {
-			throwf("engine: negation on %s with unbound argument %s", it.Pred, a)
-		}
-	}
-	src, err := ev.st.source(it.Pred)
-	if err != nil {
-		throwf("%v", err)
-	}
-	iter := src.Lookup(it.Args, env)
-	m := tr.Mark()
+// with its arguments, which the store hands over ground.
+func (ev *evaluator) hasMatch(it *CItem, fr *frame, s bindings, pos int) bool {
+	pat, env := s.pattern(pos)
+	iter := ev.sourceOf(it, fr).Lookup(pat, env)
+	m := ev.tr.Mark()
 	// lint:allow scanloop — negation probes one stored relation with ground
 	// arguments; the scan is bounded by that relation's size.
 	for {
@@ -404,17 +477,8 @@ func (ev *evaluator) hasMatch(it *CItem, env *term.Env, tr *term.Trail) bool {
 		if !ok {
 			return false
 		}
-		fenv := term.EmptyEnv()
-		if f.NVars > 0 {
-			if ev.negEnv == nil {
-				ev.negEnv = term.NewEnv(f.NVars)
-			} else {
-				ev.negEnv.EnsureSlots(f.NVars)
-			}
-			fenv = ev.negEnv
-		}
-		matched := term.UnifyArgs(it.Args, env, f.Args, fenv, tr)
-		tr.Undo(m)
+		matched := term.UnifyArgs(pat, env, f.Args, factEnv(&ev.negEnv, f.NVars), &ev.tr)
+		ev.tr.Undo(m)
 		if matched {
 			return true
 		}

@@ -43,9 +43,9 @@ func TestRunBuiltinFailureTrailDiscipline(t *testing.T) {
 		},
 	}
 
-	ev := &evaluator{st: st}
+	ev := &evaluator{evalConfig: evalConfig{st: st}}
 	var got []string
-	err := ev.evalRule(c, fullRanges, func(f Fact) bool {
+	err := ev.evalRule(c, &fullRanges, func(f Fact) bool {
 		if mark := ev.tr.Mark(); mark != 2 {
 			t.Errorf("trail holds %d bindings at emit, want 2 (X and Z of the live activation)", mark)
 		}

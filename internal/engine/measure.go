@@ -39,31 +39,22 @@ type RunStats struct {
 
 // add accumulates the counters of another run (per-query statistics sum the
 // module-call evaluations a query triggered).
-func (s RunStats) add(o RunStats) RunStats {
-	s.Answers += o.Answers
-	s.Derivations += o.Derivations
-	s.Attempts += o.Attempts
-	s.Iterations += o.Iterations
-	s.ParallelRounds += o.ParallelRounds
-	s.FactsStored += o.FactsStored
-	s.HashJoinBuilds += o.HashJoinBuilds
-	s.HashJoinProbes += o.HashJoinProbes
-	s.BytecodeRuns += o.BytecodeRuns
-	return s
-}
+func (s RunStats) add(o RunStats) RunStats { return s.plus(o, 1) }
 
 // sub removes a before-snapshot from accumulated counters (the delta one
 // save-module call contributed).
-func (s RunStats) sub(o RunStats) RunStats {
-	s.Answers -= o.Answers
-	s.Derivations -= o.Derivations
-	s.Attempts -= o.Attempts
-	s.Iterations -= o.Iterations
-	s.ParallelRounds -= o.ParallelRounds
-	s.FactsStored -= o.FactsStored
-	s.HashJoinBuilds -= o.HashJoinBuilds
-	s.HashJoinProbes -= o.HashJoinProbes
-	s.BytecodeRuns -= o.BytecodeRuns
+func (s RunStats) sub(o RunStats) RunStats { return s.plus(o, -1) }
+
+func (s RunStats) plus(o RunStats, k int) RunStats {
+	s.Answers += k * o.Answers
+	s.Derivations += k * o.Derivations
+	s.Attempts += k * o.Attempts
+	s.Iterations += k * o.Iterations
+	s.ParallelRounds += k * o.ParallelRounds
+	s.FactsStored += k * o.FactsStored
+	s.HashJoinBuilds += k * o.HashJoinBuilds
+	s.HashJoinProbes += k * o.HashJoinProbes
+	s.BytecodeRuns += k * o.BytecodeRuns
 	return s
 }
 

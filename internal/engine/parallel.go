@@ -110,17 +110,12 @@ func (me *matEval) checkParallelSafe(st *Stratum) bool {
 // runPool runs the round's versions on the worker pool and merges their
 // output. It reports the first failed task's error, having merged nothing.
 func (me *matEval) runPool(rs *roundSched, workers int) error {
-	// Build tables on the writer goroutine before workers exist (workers
-	// probe the shared cache read-only), then split: the split position
-	// follows the delta literal to its planned slot.
+	// The round prologue has planned every version and filled its build
+	// tables (planRule); workers only read them. The split position follows
+	// the delta literal to its planned slot.
 	var tasks []parTask
 	for i := range rs.versions {
-		v := &rs.versions[i]
-		rr := ruleRanges{DeltaPos: v.pos, Last: v.rule.last, Now: rs.start}
-		if err := me.prebuildTables(v.plan, rr); err != nil {
-			return err
-		}
-		tasks = me.splitVersion(tasks, v, rr, workers)
+		tasks = me.splitVersion(tasks, &rs.versions[i], workers)
 	}
 
 	// Workers pull tasks from a shared cursor. Each worker has a private
@@ -137,19 +132,14 @@ func (me *matEval) runPool(rs *roundSched, workers int) error {
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	evs := make([]evaluator, workers)
-	var guard *budgetGuard
-	if me.guard.active() {
-		guard = &me.guard
-	}
+	// Each evaluator is its own allocation: side by side in one slice, one
+	// worker's per-tuple counter writes would share a cache line with fields
+	// its neighbour reads per derivation.
+	evs := make([]*evaluator, workers)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := range evs {
-		// Prebuilt tables on the writer; a miss (an item the prebuild skipped)
-		// falls back to nested loops rather than building into the shared map
-		// from a worker.
-		evs[w] = evaluator{st: me.st, IntelligentBacktracking: me.ev.IntelligentBacktracking,
-			guard: guard, tables: me.ev.tables, tablesRO: true, bytecode: me.ev.bytecode}
+		evs[w] = &evaluator{evalConfig: me.ev.evalConfig}
 		wg.Add(1)
 		go func(ev *evaluator) {
 			defer wg.Done()
@@ -160,7 +150,7 @@ func (me *matEval) runPool(rs *roundSched, workers int) error {
 				}
 				errs[i] = me.runTask(ev, rs, &tasks[i], &results[i])
 			}
-		}(&evs[w])
+		}(evs[w])
 	}
 	// The barrier always joins every worker — also on abort, so no
 	// goroutine outlives the round (workers notice a tripped budget at
@@ -169,10 +159,7 @@ func (me *matEval) runPool(rs *roundSched, workers int) error {
 	me.ParRounds++
 
 	for w := range evs {
-		me.ev.Derivations += evs[w].Derivations
-		me.ev.Attempts += evs[w].Attempts
-		me.ev.HashProbes += evs[w].HashProbes
-		me.ev.BCRuns += evs[w].BCRuns
+		me.ev.add(evs[w].evalCounters)
 	}
 	// A failed round merges nothing: the head relations still hold exactly
 	// their round-start prefixes, so the abort leaves no torn round and the
@@ -209,7 +196,7 @@ func (me *matEval) runTask(ev *evaluator, rs *roundSched, t *parTask, out *[]Fac
 	head, snap := rs.rels[r.c.HeadSlot], rs.start[r.c.HeadSlot]
 	ev.headDup = r.dup // nil for a multiset head
 	var emitErr error
-	err := ev.evalRule(t.v.plan, t.rr, func(f Fact) bool {
+	err := ev.evalRule(t.v.plan, &t.rr, func(f Fact) bool {
 		if r.dup != nil && head.DuplicateWithin(f, snap) {
 			return true // merge would reject it; drop in parallel
 		}
@@ -231,8 +218,8 @@ func (me *matEval) runTask(ev *evaluator, rs *roundSched, t *parTask, out *[]Fac
 // to subranges of the ordinal range the semi-naive discipline assigns it.
 // Every derivation consumes exactly one tuple of the outermost item, so
 // the chunks partition the version's output with no duplicated scanning.
-func (me *matEval) splitVersion(tasks []parTask, v *schedVersion, rr ruleRanges, workers int) []parTask {
-	c := v.plan
+func (me *matEval) splitVersion(tasks []parTask, v *schedVersion, workers int) []parTask {
+	c, rr := v.plan, v.rr
 	pos := 0
 	for pos < len(c.Body) && c.Body[pos].Kind != ItemRel {
 		pos++
@@ -242,9 +229,9 @@ func (me *matEval) splitVersion(tasks []parTask, v *schedVersion, rr ruleRanges,
 	if pos < len(c.Body) {
 		if src, err := me.st.source(c.Body[pos].Pred); err == nil {
 			// Range assignment follows the written occurrence (OrigPos), as
-			// in lookupFor: the planner may have moved the item, but its
+			// in openScan: the planner may have moved the item, but its
 			// semi-naive range is fixed by where it was written (scanBounds).
-			from, to = scanBounds(&c.Body[pos], rr, src)
+			from, to = scanBounds(&c.Body[pos], &rr, src)
 			size = int(to - from)
 			chunks = min(workers, size/parMinChunk)
 		}

@@ -51,20 +51,29 @@ type planKey struct {
 }
 
 // cachedPlan is one evaluation's fitted choice for a rule version plus the
-// cardinalities it was fitted at. rels are the body items' hash relations
-// (nil for builtins and sources without statistics), resolved once so the
-// per-round drift check reads row counts and nothing else.
+// cardinalities it was fitted at. srcs and rels are the written body items'
+// sources and their hash relations (nil for builtins, unresolved sources and
+// — rels — sources without statistics), resolved once so the per-round drift
+// check reads row counts and nothing else.
+//
+// tables is the version's build-table array, one slot per schedule position
+// of planned (nil slice when nothing is hash-marked): build tables depend on
+// the data, so they live here, per evaluation, while the clone that names
+// them is shared. The round prologue keeps the slots valid (fillTables) and
+// hands the array to the round through ruleRanges.Tables.
 type cachedPlan struct {
 	planned *Compiled // memoised clone (the written rule when identity)
+	srcs    []Source
 	rels    []*relation.HashRelation
 	fitRows []int
+	tables  []*builtTable
 }
 
 // planMemoKey names one planned artefact: sched lists the written body
-// positions in schedule order, an "h" after each hash-marked one.
+// positions in schedule order, an "h" after each hash-marked one. A rule's
+// delta versions that choose the same schedule and marks share the clone.
 type planMemoKey struct {
 	c     *Compiled
-	delta int
 	sched string
 }
 
@@ -80,11 +89,8 @@ type planMemo struct {
 
 // planned returns the clone of c scheduled in the given order with the
 // given schedule positions hash-marked, building it on first sight (its
-// bytecode follows on first run, Compiled.program). delta is part of the
-// key although the clone does not depend on it: build tables are cached per
-// item identity (tableFor), so two versions of a rule must not share items
-// whose scan ranges differ.
-func (p *Program) planned(c *Compiled, delta int, sched []int, marks []bool) *Compiled {
+// bytecode follows on first run, Compiled.program).
+func (p *Program) planned(c *Compiled, sched []int, marks []bool) *Compiled {
 	sig := make([]byte, 0, 4*len(sched))
 	for i, oi := range sched {
 		sig = strconv.AppendInt(sig, int64(oi), 10)
@@ -93,7 +99,7 @@ func (p *Program) planned(c *Compiled, delta int, sched []int, marks []bool) *Co
 		}
 		sig = append(sig, ',')
 	}
-	key := planMemoKey{c: c, delta: delta, sched: string(sig)}
+	key := planMemoKey{c: c, sched: string(sig)}
 	p.plans.mu.Lock()
 	defer p.plans.mu.Unlock()
 	if nc, ok := p.plans.m[key]; ok {
@@ -144,26 +150,37 @@ const (
 	hashProbeGain   = 1.0
 )
 
-// planFor returns the rule to evaluate for version (c, delta): a planned
-// clone, or c itself when the evaluation keeps the written order
-// (configureEval), or planning is unsafe or a no-op. planFor must be called
-// from the evaluation's writer goroutine — it may create relations, indexes,
-// and cache entries.
-func (me *matEval) planFor(c *Compiled, delta int) *Compiled {
+// planFor is the round prologue for one rule version: it returns the rule to
+// evaluate for version (c, rr.DeltaPos) — a planned clone, or c itself when
+// the evaluation keeps the written order (configureEval), or planning is
+// unsafe or a no-op — and points rr.Tables at the clone's build tables,
+// valid for rr's ranges. planFor must be called from the evaluation's writer
+// goroutine — it may create relations, indexes, tables and cache entries. An
+// error is a budget trip during a table build.
+func (me *matEval) planFor(c *Compiled, rr *ruleRanges) (*Compiled, error) {
 	if !me.planning || len(c.Body) < 2 {
-		return c
+		return c, nil
 	}
-	key := planKey{c: c, delta: delta}
-	if p := me.plans[key]; p != nil && !p.drifted() {
-		return p.planned
+	key := planKey{c: c, delta: rr.DeltaPos}
+	p := me.plans[key]
+	if p == nil || p.drifted() {
+		stats, np := me.bodyStats(c)
+		var marked bool
+		np.planned, marked = me.fitPlan(c, rr.DeltaPos, stats, np.rels)
+		if p != nil && p.planned == np.planned {
+			np.tables = p.tables // the re-fit chose the same clone: its slots stay valid
+		} else if marked {
+			np.tables = make([]*builtTable, len(c.Body))
+		}
+		if me.plans == nil {
+			me.plans = make(map[planKey]*cachedPlan)
+		}
+		me.plans[key], p = np, np
 	}
-	stats, p := me.bodyStats(c)
-	p.planned = me.fitPlan(c, delta, stats)
-	if me.plans == nil {
-		me.plans = make(map[planKey]*cachedPlan)
+	if rr.Tables = p.tables; p.tables == nil {
+		return p.planned, nil
 	}
-	me.plans[key] = p
-	return p.planned
+	return p.planned, me.fillTables(p, rr)
 }
 
 // bodyStats resolves the statistics of every body relation item, and starts
@@ -172,7 +189,7 @@ func (me *matEval) planFor(c *Compiled, delta int) *Compiled {
 // persistent relations) stay nil there and never count as drift.
 func (me *matEval) bodyStats(c *Compiled) ([]relation.Stats, *cachedPlan) {
 	stats := make([]relation.Stats, len(c.Body))
-	p := &cachedPlan{rels: make([]*relation.HashRelation, len(c.Body)), fitRows: make([]int, len(c.Body))}
+	p := &cachedPlan{srcs: make([]Source, len(c.Body)), rels: make([]*relation.HashRelation, len(c.Body)), fitRows: make([]int, len(c.Body))}
 	for i := range c.Body {
 		it := &c.Body[i]
 		if it.Kind == ItemBuiltin {
@@ -184,7 +201,7 @@ func (me *matEval) bodyStats(c *Compiled) ([]relation.Stats, *cachedPlan) {
 			// underlying relation (reads are clamped to the captured mark, but
 			// the live counts are the better-maintained estimate and appends
 			// during serving are fenced anyway).
-			hr = hashRelOf(src)
+			p.srcs[i], hr = src, hashRelOf(src)
 		}
 		if hr != nil {
 			st := hr.Stats()
@@ -229,10 +246,10 @@ func (p *cachedPlan) drifted() bool {
 	return false
 }
 
-// fitPlan computes the greedy schedule for one rule version. It returns c
-// unchanged when the rule cannot be reordered safely or the schedule is
-// the written order.
-func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Compiled {
+// fitPlan computes the greedy schedule for one rule version, and reports
+// whether any of its items is hash-marked. It returns c unchanged when the
+// rule cannot be reordered safely or the schedule is the written order.
+func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats, rels []*relation.HashRelation) (*Compiled, bool) {
 	n := len(c.Body)
 	// Groundness requirements per item: the env slots that must be bound
 	// before the item may be scheduled. nil means none.
@@ -256,7 +273,7 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 			case cmpBuiltins[it.Op]:
 				reqs[i] = slotsOf(it.Args)
 			default:
-				return c // unknown builtin: keep the written order
+				return c, false // unknown builtin: keep the written order
 			}
 		}
 	}
@@ -268,7 +285,7 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 	bound := make(map[int]bool)
 	for i := range c.Body {
 		if !slotsSubset(reqs[i], bound) {
-			return c
+			return c, false
 		}
 		bindSlots(&c.Body[i], bound)
 	}
@@ -331,7 +348,7 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 		// Some requirement never became satisfiable: keep the written
 		// order (which passed the same requirements check above only via
 		// call-order effects the greedy pass did not reproduce).
-		return c
+		return c, false
 	}
 	identity := true
 	for i, oi := range order {
@@ -351,15 +368,14 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 		sched = order
 	}
 	// Hash marks go on a clone even for the written order, never on the
-	// shared compiled rule, so each version keys the engine's build-table
-	// cache with its own item identities.
-	marks, marked := me.markHashItems(c, sched, stats)
+	// shared compiled rule.
+	marks, marked := markHashItems(c, sched, stats, rels)
 	if !marked && !reordered {
-		return c // no reorder and no hash marks: the written rule serves as-is
+		return c, false // no reorder and no hash marks: the written rule serves as-is
 	}
-	nc := me.prog.planned(c, delta, sched, marks)
+	nc := me.prog.planned(c, sched, marks)
 	me.ensurePlanIndexes(nc)
-	return nc
+	return nc, marked
 }
 
 // markHashItems walks the schedule the way orderCost does — tracking the
@@ -371,7 +387,7 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 // reached, and the parallel round partitions work by splitting exactly that
 // item's ordinal range (splitVersion). Reports the marks by schedule
 // position and whether there are any.
-func (me *matEval) markHashItems(c *Compiled, sched []int, stats []relation.Stats) ([]bool, bool) {
+func markHashItems(c *Compiled, sched []int, stats []relation.Stats, rels []*relation.HashRelation) ([]bool, bool) {
 	marks := make([]bool, len(sched))
 	marked := false
 	bound, static := make(map[int]bool), make(map[int]bool)
@@ -384,7 +400,7 @@ func (me *matEval) markHashItems(c *Compiled, sched []int, stats []relation.Stat
 			for _, a := range it.Args {
 				keyed = keyed || coveredBy(a, static)
 			}
-			if !firstRel && keyed && me.hashEligible(it, stats[oi], size) {
+			if !firstRel && keyed && hashEligible(rels[oi], stats[oi], size) {
 				marks[i], marked = true, true
 			}
 			firstRel = false
@@ -410,16 +426,9 @@ func (me *matEval) markHashItems(c *Compiled, sched []int, stats []relation.Stat
 // table built earlier would not. The caller has checked that a position is
 // bound (the build key); the probe volume must amortize the build (see the
 // hashMinProbes/hashBuildPerRow/hashProbeGain constants).
-func (me *matEval) hashEligible(it *CItem, st relation.Stats, probes float64) bool {
-	src, err := me.st.source(it.Pred)
-	if err != nil {
-		return false
-	}
-	hr := hashRelOf(src)
-	if hr == nil || len(hr.AggSels()) > 0 {
-		return false
-	}
-	return probes >= hashMinProbes && probes*hashProbeGain >= float64(st.Rows)*hashBuildPerRow
+func hashEligible(hr *relation.HashRelation, st relation.Stats, probes float64) bool {
+	return hr != nil && len(hr.AggSels()) == 0 &&
+		probes >= hashMinProbes && probes*hashProbeGain >= float64(st.Rows)*hashBuildPerRow
 }
 
 // orderCost estimates the tuples a schedule considers end to end: walking

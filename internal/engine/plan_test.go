@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"coral/internal/relation"
 	"coral/internal/term"
 )
 
@@ -46,7 +47,12 @@ func plannedRule(t *testing.T, src, form, head string, delta int) (*Compiled, *C
 		}
 		for _, c := range rules {
 			if c.HeadPred.Name == head {
-				return c, me.planFor(c, delta)
+				marks := make([]relation.Mark, len(st.Table))
+				plan, err := me.planFor(c, &ruleRanges{DeltaPos: delta, Last: marks, Now: marks})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c, plan
 			}
 		}
 	}

@@ -431,7 +431,7 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 //	observed                                  path
 //	----------------------------------------  ---------------------------------
 //	Ordered Search context, or tracing        reference: written order, index
-//	  (ExplainCall builds its evaluation        lookups, interpreter, one
+//	  (ExplainCall builds its evaluation        lookups, environment store, one
 //	  bare and never comes here)                worker — magic-fact attribution
 //	                                            and justifications read the
 //	                                            written rule and live envs
@@ -442,13 +442,14 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 //	                                            clone it names is built once per
 //	                                            Program (Program.planned)
 //	  item reached by ≥ 8 estimated probes    hash build/probe instead of
-//	  that amortize a build, plain hash         per-probe index lookup
-//	  relation, no aggregate selection          (markHashItems)
-//	  rule in the compiled fragment, hash     register bytecode, compiled once
-//	  sources, ground scan ranges               per rule or memoised plan;
-//	                                            anything else interpreted, per
-//	                                            rule version (Compiled.program,
-//	                                            runBC's prologue)
+//	  that amortize a build, plain hash         per-probe index lookup, table
+//	  relation, no aggregate selection          filled by the round prologue
+//	                                            (markHashItems, fillTables)
+//	  rule in the compiled fragment, hash     bindings in the register file,
+//	  sources, ground scan ranges               compiled once per rule or
+//	                                            memoised plan; anything else in
+//	                                            the environment store, per
+//	                                            application (evaluator.bind)
 //	  BSN round with a delta of at least two  System.Parallelism workers for
 //	  chunks (2 × parMinChunk rows), stratum    that round; any other round
 //	  over hash/list relations, no aggregate    inline on the caller
@@ -456,7 +457,9 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 //	concurrent read-only caller (sharedRO)    plan indexes only on the
 //	                                            evaluation's own relations
 //
-// The zero-valued flags of a bare newMatEval are the reference row.
+// Every row runs the one nested-loops driver (evaluator.run); the rows pick
+// its plan and its binding store. The zero-valued flags of a bare newMatEval
+// are the reference row.
 func (def *ModuleDef) configureEval(me *matEval, cfg callCfg, prog *Program) {
 	reference := me.ctx != nil || me.ev.trace != nil
 	me.planning = !reference
@@ -472,11 +475,14 @@ func (def *ModuleDef) configureEval(me *matEval, cfg callCfg, prog *Program) {
 
 // evalQuery is configureEval's counterpart for a top-level conjunctive query
 // (System.Query, View.Query): one untraced, one-shot rule over external
-// sources — the bytecode machine when the rule is in the compiled fragment,
-// the interpreter otherwise. Answers are deduplicated and bind the query's
-// distinct named variables in order of first occurrence; work reports the
-// rule's own attempts and derivations.
-func evalQuery(body []ast.Literal, external func(ast.PredKey) (Source, error), guard budgetGuard) (vars []string, facts []Fact, work RunStats, err error) {
+// sources, bound in the register file when the rule is in the compiled
+// fragment. Answers are deduplicated and bind the query's distinct named
+// variables in order of first occurrence. stats is the rule's own work plus
+// that of the evaluations acc collected, and an
+// abort that crosses this boundary without partial RunStats — the rule's own
+// poll noticing the deadline before any module call's round barrier does —
+// is given them.
+func evalQuery(body []ast.Literal, external func(ast.PredKey) (Source, error), guard budgetGuard, acc *statsAcc) (vars []string, facts []Fact, stats RunStats, err error) {
 	vars, headArgs := queryAnswerVars(body)
 	rule := &ast.Rule{
 		Head: ast.Literal{Pred: "$query", Args: headArgs},
@@ -486,19 +492,22 @@ func evalQuery(body []ast.Literal, external func(ast.PredKey) (Source, error), g
 	if err != nil {
 		return nil, nil, RunStats{}, err
 	}
-	ev := &evaluator{st: newStore(external, nil), IntelligentBacktracking: true, bytecode: true}
+	ev := &evaluator{evalConfig: evalConfig{st: newStore(external, nil), IntelligentBacktracking: true, bytecode: true}}
 	if guard.active() {
 		ev.guard = &guard
 	}
 	dedup := relation.NewHashRelation("$query", len(headArgs))
-	err = ev.evalRule(c, fullRanges, func(f Fact) bool {
+	err = ev.evalRule(c, &fullRanges, func(f Fact) bool {
 		if dedup.Insert(f) {
 			guard.noteFact()
 			facts = append(facts, f)
 		}
 		return true
 	})
-	return vars, facts, RunStats{Attempts: ev.Attempts, Derivations: ev.Derivations}, err
+	stats = ev.runStats().add(acc.total())
+	stats.Answers = len(facts)
+	noteAbortStats(err, stats)
+	return vars, facts, stats, err
 }
 
 // newAnswerScan builds the answer iterator for one call, projecting the
@@ -748,7 +757,7 @@ func (s *answerScan) Next() (Fact, bool) {
 // query's distinct variables in order of first occurrence.
 func (sys *System) Query(body []ast.Literal) (vars []string, facts []Fact, err error) {
 	defer recoverEval(&err)
-	vars, facts, _, err = evalQuery(body, sys.external, sys.newGuard())
+	vars, facts, _, err = evalQuery(body, sys.external, sys.newGuard(), &statsAcc{})
 	if err != nil {
 		return nil, nil, err
 	}

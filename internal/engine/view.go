@@ -222,9 +222,7 @@ func (a *statsAcc) total() RunStats {
 func (v *View) Query(body []ast.Literal) (vars []string, facts []Fact, stats RunStats, err error) {
 	defer recoverEval(&err)
 	acc := &statsAcc{}
-	vars, facts, work, err := evalQuery(body, v.externalWith(acc), v.newGuard())
-	stats = acc.total().add(work)
-	stats.Answers = len(facts)
+	vars, facts, stats, err = evalQuery(body, v.externalWith(acc), v.newGuard(), acc)
 	if err != nil {
 		return nil, nil, stats, err
 	}

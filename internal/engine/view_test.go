@@ -339,13 +339,13 @@ end_module.
 }
 
 // planMemoOf snapshots the plan memos of a module's programs: one line per
-// entry (query form, rule head, delta position, schedule) → the clone.
+// entry (query form, rule, schedule) → the clone.
 func planMemoOf(def *ModuleDef) map[string]*Compiled {
 	out := make(map[string]*Compiled)
 	for form, p := range def.Programs() {
 		p.plans.mu.Lock()
 		for k, c := range p.plans.m {
-			out[fmt.Sprintf("%s %s/%d %s", form, k.c.HeadPred, k.delta, k.sched)] = c
+			out[fmt.Sprintf("%s [%s] %s", form, k.c, k.sched)] = c
 		}
 		p.plans.mu.Unlock()
 	}
@@ -354,8 +354,8 @@ func planMemoOf(def *ModuleDef) map[string]*Compiled {
 
 // TestPlanMemoConcurrentViews: sixteen views hit one cold query form at
 // once. Each gets the reference answers; between them they leave exactly the
-// memo a single caller leaves — one clone per (rule, delta, schedule, marks)
-// they chose, shared, not one per view — and later calls reuse those clones
+// memo a single caller leaves — one clone per (rule, schedule, marks) they
+// chose, shared, not one per view or per delta version — and later calls reuse those clones
 // pointer for pointer. The memo caches artefacts, not choices: after the
 // base relation grows a hundredfold a call fits a different schedule and
 // adds its key instead of running the stale plan. Run under -race -cpu=1,4.

@@ -101,38 +101,6 @@ func (t *JoinTable) Probe(pattern []term.Term, env *term.Env, p *JoinProbe) {
 	p.scanPos = -1
 }
 
-// ProbeValues resets p to enumerate candidates whose key equals vals — one
-// term per key position, in KeyPos order. It is the environment-free probe
-// used when the caller already extracted the key values (e.g. from a ground
-// outer fact). Non-ground vals degrade to a full scan, like Probe.
-func (t *JoinTable) ProbeValues(vals []term.Term, p *JoinProbe) {
-	p.table = t
-	h, ground := term.HashBound(vals, identityPos(len(vals)), nil)
-	if !ground {
-		p.bucket, p.over = nil, nil
-		p.scanPos = 0
-		return
-	}
-	p.bucket = t.buckets[h]
-	p.over = t.overflow
-	p.bi, p.oi = 0, 0
-	p.scanPos = -1
-}
-
-// identityPos returns [0, 1, ..., n-1], cached for small n.
-func identityPos(n int) []int {
-	if n <= len(identityPosCache) {
-		return identityPosCache[:n]
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-var identityPosCache = [...]int{0, 1, 2, 3, 4, 5, 6, 7}
-
 // Next implements Iterator: the next candidate fact in entry order.
 func (p *JoinProbe) Next() (Fact, bool) {
 	if p.scanPos >= 0 {
