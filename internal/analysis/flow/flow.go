@@ -110,16 +110,6 @@ func AllFreeAdorn(adorn string) bool {
 	return true
 }
 
-// AllBoundAdorn reports whether every letter of an adornment is 'b'.
-func AllBoundAdorn(adorn string) bool {
-	for i := 0; i < len(adorn); i++ {
-		if adorn[i] != 'b' {
-			return false
-		}
-	}
-	return true
-}
-
 // --- variable set helpers shared by Reach and Analyze ---
 
 // VarSet tracks variables by object identity (parsed rules share one *Var

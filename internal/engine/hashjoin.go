@@ -34,7 +34,7 @@ type builtTable struct {
 }
 
 // hashRelOf unwraps a Source down to its plain *HashRelation, or nil when
-// the source is anything else (module calls, computed, list relations).
+// the source is anything else (module calls, computed, persistent relations).
 func hashRelOf(src Source) *relation.HashRelation {
 	if p, ok := src.(*relation.Prefix); ok {
 		// Build tables over a snapshot view load the underlying relation

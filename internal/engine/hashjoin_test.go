@@ -11,7 +11,7 @@ import (
 )
 
 // TestPlannerPicksHashJoin is the deterministic CI gate behind
-// BenchmarkE21HashJoin: on a dense transitive closure the planner must
+// EXPERIMENTS.md E21: on a dense transitive closure the planner must
 // adopt the hash access path (builds and probes both non-zero), keep the
 // answers identical, and attempt strictly fewer tuples than the reference
 // evaluator's nested loops — the probe enumerates one bucket instead of the

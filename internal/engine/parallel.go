@@ -94,9 +94,7 @@ func (me *matEval) checkParallelSafe(st *Stratum) bool {
 				// Mark-bounded lookups on the underlying relation; as
 				// race-free for workers as the relation itself.
 			case relSource:
-				switch s.r.(type) {
-				case *relation.HashRelation, *relation.ListRelation:
-				default:
+				if _, ok := s.r.(*relation.HashRelation); !ok {
 					return false
 				}
 			default:

@@ -208,7 +208,7 @@ func crossProductFacts(n int) string {
 }
 
 // TestPlannerFasterOnCrossProduct is the deterministic CI gate behind
-// BenchmarkE17JoinPlan: on the cross-product workload the planned order
+// EXPERIMENTS.md E17: on the cross-product workload the planned order
 // must attempt strictly fewer tuples than the written order (the reference
 // evaluator) — by a wide margin, since written is O(n²) and planned is O(n).
 func TestPlannerFasterOnCrossProduct(t *testing.T) {

@@ -111,14 +111,6 @@ func BuildProgram(mod *ast.Module, query ast.PredKey, adorn string) (*Program, e
 	return buildProgram(mod, query, adorn, nil, true)
 }
 
-// BuildProgramMasked additionally applies existential query rewriting for a
-// call that observes only the positions where mask is true (paper §4.1:
-// existential rewriting is applied by default in conjunction with a
-// selection-pushing rewriting). A nil mask observes everything.
-func BuildProgramMasked(mod *ast.Module, query ast.PredKey, adorn string, mask []bool) (*Program, error) {
-	return buildProgram(mod, query, adorn, mask, true)
-}
-
 // buildProgram is the optimizer behind the exported entry points. flowOpt
 // applies the flow-analysis-driven optimizations — rule pruning, skip-magic,
 // planner seed positions; every installed program has them, and the

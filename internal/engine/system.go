@@ -452,7 +452,7 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 //	                                            application (evaluator.bind)
 //	  BSN round with a delta of at least two  System.Parallelism workers for
 //	  chunks (2 × parMinChunk rows), stratum    that round; any other round
-//	  over hash/list relations, no aggregate    inline on the caller
+//	  over hash relations, no aggregate         inline on the caller
 //	  selections in the program                 (workersFor)
 //	concurrent read-only caller (sharedRO)    plan indexes only on the
 //	                                            evaluation's own relations

@@ -54,9 +54,6 @@ func NewJoinTable(keyPos []int, rowsHint, distinctHint int) *JoinTable {
 	}
 }
 
-// KeyPos returns the key positions the table is built on.
-func (t *JoinTable) KeyPos() []int { return t.keyPos }
-
 // Len returns the number of facts added.
 func (t *JoinTable) Len() int { return len(t.facts) }
 

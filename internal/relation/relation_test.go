@@ -355,32 +355,6 @@ func TestClear(t *testing.T) {
 	}
 }
 
-func TestListRelation(t *testing.T) {
-	r := NewListRelation("p", 2)
-	r.Insert(fact(term.Int(1), term.Int(2)))
-	if r.Insert(fact(term.Int(1), term.Int(2))) {
-		t.Error("list relation accepted duplicate")
-	}
-	r.Insert(fact(term.Int(3), term.Int(4)))
-	if r.Len() != 2 || r.Name() != "p" || r.Arity() != 2 {
-		t.Error("list relation metadata wrong")
-	}
-	if n := len(Drain(r.Lookup([]term.Term{term.Int(1), term.NewVar("X")}, nil))); n != 2 {
-		t.Errorf("lookup (scan) got %d", n)
-	}
-	if n := r.Delete([]term.Term{term.Int(1), term.NewVar("X")}, nil); n != 1 {
-		t.Errorf("deleted %d", n)
-	}
-	if r.Len() != 1 {
-		t.Error("Len after delete wrong")
-	}
-	m := r.Snapshot()
-	r.Insert(fact(term.Int(9), term.Int(9)))
-	if n := len(Drain(r.ScanRange(m, r.Snapshot()))); n != 1 {
-		t.Errorf("range scan got %d", n)
-	}
-}
-
 func TestComputedRelation(t *testing.T) {
 	// between(X) generating integers 0..4.
 	r := NewComputed("gen", 1, func(pattern []term.Term, env *term.Env) Iterator {
@@ -412,8 +386,6 @@ func TestComputedRelation(t *testing.T) {
 
 func TestRelationInterfaces(t *testing.T) {
 	var _ Relation = NewHashRelation("a", 1)
-	var _ Relation = NewListRelation("b", 1)
 	var _ Relation = NewComputed("c", 1, nil)
 	var _ Deleter = NewHashRelation("a", 1)
-	var _ Deleter = NewListRelation("b", 1)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -79,6 +80,47 @@ func queryErr(t *testing.T, base, q, session string) (int, *ErrorResponse) {
 	var e ErrorResponse
 	_ = json.NewDecoder(resp.Body).Decode(&e)
 	return resp.StatusCode, &e
+}
+
+// sameTuples compares rendered answer sets ignoring order (the engine does
+// not promise enumeration order across plans).
+func sameTuples(got, want [][]string) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	return canonTuples(got) == canonTuples(want)
+}
+
+func canonTuples(rows [][]string) string {
+	keys := make([]string, len(rows))
+	for i, row := range rows {
+		var b bytes.Buffer
+		for _, col := range row {
+			b.WriteString(col)
+			b.WriteByte('\x00')
+		}
+		keys[i] = b.String()
+	}
+	sort.Strings(keys)
+	var b bytes.Buffer
+	for _, k := range keys {
+		b.WriteString(k)
+		b.WriteByte('\x01')
+	}
+	return b.String()
+}
+
+func getJSON(c *http.Client, url string) (map[string]any, error) {
+	resp, err := c.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func TestQueryEndpoint(t *testing.T) {
@@ -438,41 +480,5 @@ func TestQueryTimeoutOption(t *testing.T) {
 	code, e := queryErr(t, ts.URL, "tc(0, X)", "")
 	if code != http.StatusRequestTimeout || e.Kind != "abort" {
 		t.Fatalf("query timeout: HTTP %d kind %q, want 408 abort", code, e.Kind)
-	}
-}
-
-// TestLoadGenContextCancel: a canceled LoadGen.Ctx stops the run well
-// before its Duration deadline and still returns a coherent report.
-// Regression for LoadGen ignoring cancellation entirely (its clients used
-// to run to the wall-clock deadline no matter what the caller wanted).
-func TestLoadGenContextCancel(t *testing.T) {
-	_, ts := newTestServer(t, testProgram, Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	lg := &LoadGen{
-		Ctx:      ctx,
-		BaseURL:  ts.URL,
-		Clients:  2,
-		Duration: 30 * time.Second,
-		Queries:  []string{"path(a, X)"},
-	}
-	done := make(chan struct{})
-	var report *LoadReport
-	var runErr error
-	go func() {
-		report, runErr = lg.Run()
-		close(done)
-	}()
-	time.Sleep(100 * time.Millisecond)
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("LoadGen.Run did not stop after cancellation (Duration is 30s)")
-	}
-	if runErr != nil {
-		t.Fatalf("canceled run errored: %v", runErr)
-	}
-	if report.Requests == 0 {
-		t.Fatal("canceled run issued no requests before the cancel")
 	}
 }

@@ -570,32 +570,6 @@ func TestSingleTransactionAtATime(t *testing.T) {
 	}
 }
 
-func TestServerClient(t *testing.T) {
-	srv, err := NewServer(filepath.Join(t.TempDir(), "s.cdb"), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c1 := srv.Connect("proc1")
-	c2 := srv.Connect("proc2")
-	rel, err := c1.Relation("shared", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel.Insert(relation.GroundFact(term.Int(7)))
-	rel2, err := c2.Relation("shared", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel2.Len() != 1 {
-		t.Error("second client does not see shared data")
-	}
-	c2.Disconnect()
-	if _, err := c2.Relation("x", 1); err == nil {
-		t.Error("disconnected client still served")
-	}
-}
-
 // Differential test: a persistent relation must behave exactly like the
 // in-memory hash relation over the same random operation sequence
 // (inserts, duplicate inserts, deletes, indexed lookups).

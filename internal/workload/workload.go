@@ -1,18 +1,15 @@
 // Package workload generates the synthetic datasets and program texts the
-// benchmark harness sweeps over: chains, cycles, grids, trees and random
-// graphs for transitive-closure-style programs, weighted graphs for the
-// shortest-path program of Figure 3, mutually recursive predicate families
-// for the PSN experiment, employee data for index experiments, and deep
-// ground terms for the hash-consing experiment.
+// tests evaluate: chains, cycles, grids, trees and random graphs for
+// transitive-closure-style programs, weighted graphs for the shortest-path
+// program of Figure 3, mutually recursive predicate families for the PSN
+// claim, random recursive modules for the differential suite, and the
+// win-move game for Ordered Search.
 package workload
 
 import (
 	"fmt"
 	"math/rand"
 	"strings"
-
-	"coral/internal/relation"
-	"coral/internal/term"
 )
 
 // Chain writes edge(i, i+1) for i in [0, n).
@@ -157,7 +154,7 @@ func MutualRecursion(k int, ann string) string {
 // ReachModule is plain reachability over the weighted edge/3 relation
 // (the shortest-path workload's graph): the cost argument is read but not
 // aggregated, so the fixpoint is a pure BSN round — the workload the
-// parallel fixpoint benchmark (BenchmarkE05Par) partitions across cores.
+// parallel fixpoint tests partition across cores.
 func ReachModule(ann string) string {
 	return `
 module reach.
@@ -255,53 +252,6 @@ p(X, Y, P1, C1) :- p(X, Z, P, C), edge(Z, Y, EC), P1 = [e(Z, Y)|P], C1 = C + EC.
 p(X, Y, [e(X, Y)], C) :- edge(X, Y, C).
 end_module.
 `
-}
-
-// Employees writes n employee facts emp(name_i, addr(street_i, city_{i mod
-// cities})).
-func Employees(n, cities int) string {
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "emp(name%d, addr(street%d, city%d)).\n", i, i, i%cities)
-	}
-	return b.String()
-}
-
-// DeepList builds a ground list [0, 1, ..., n-1].
-func DeepList(n int) term.Term {
-	items := make([]term.Term, n)
-	for i := range items {
-		items[i] = term.Int(int64(i))
-	}
-	return term.MakeList(items...)
-}
-
-// DeepTerm builds a ground binary tree term of the given depth.
-func DeepTerm(depth int, salt int64) term.Term {
-	if depth == 0 {
-		return term.Int(salt)
-	}
-	return term.NewFunctor("n", DeepTerm(depth-1, salt*2), DeepTerm(depth-1, salt*2+1))
-}
-
-// GroundFacts converts integer pairs into relation facts (storage and
-// index benchmarks).
-func GroundFacts(pairs [][2]int) []relation.Fact {
-	out := make([]relation.Fact, len(pairs))
-	for i, p := range pairs {
-		out[i] = relation.GroundFact(term.Int(int64(p[0])), term.Int(int64(p[1])))
-	}
-	return out
-}
-
-// RandomPairs yields m random pairs over [0, n).
-func RandomPairs(n, m int, seed int64) [][2]int {
-	r := rand.New(rand.NewSource(seed))
-	out := make([][2]int, m)
-	for i := range out {
-		out[i] = [2]int{r.Intn(n), r.Intn(n)}
-	}
-	return out
 }
 
 // WinGameMoves writes a random game graph: move(i, j) edges going upward

@@ -108,9 +108,6 @@ func TestModuleGeneratorsParse(t *testing.T) {
 	if got := countFacts(t, WinGameMoves(20, 2, 3, 1), "move"); got == 0 {
 		t.Error("no moves generated")
 	}
-	if got := countFacts(t, Employees(25, 5), "emp"); got != 25 {
-		t.Errorf("employees: %d", got)
-	}
 }
 
 func TestMutualRecursionShape(t *testing.T) {
@@ -125,31 +122,5 @@ func TestMutualRecursionShape(t *testing.T) {
 	// p0's recursive rule must call p1.
 	if !strings.Contains(m.Rules[1].String(), "p1(") {
 		t.Errorf("p0 recursive rule: %s", m.Rules[1])
-	}
-}
-
-func TestDeepTermAndList(t *testing.T) {
-	d := DeepTerm(4, 1)
-	if !term.IsGround(d) {
-		t.Error("deep term not ground")
-	}
-	l := DeepList(5)
-	n := 0
-	for {
-		_, tail, ok := term.IsCons(l)
-		if !ok {
-			break
-		}
-		n++
-		l = tail
-	}
-	if n != 5 {
-		t.Errorf("list length: %d", n)
-	}
-	if len(RandomPairs(10, 30, 1)) != 30 {
-		t.Error("random pairs count")
-	}
-	if len(GroundFacts([][2]int{{1, 2}, {3, 4}})) != 2 {
-		t.Error("ground facts count")
 	}
 }
