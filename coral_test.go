@@ -606,3 +606,55 @@ func TestPointQueryAllocBudget(t *testing.T) {
 		t.Errorf("Session.Query(tc(0, X)) allocates %.0f objects, budget %d", got, ceiling)
 	}
 }
+
+// TestSaveModuleSeesAppends: a saved evaluation is reused only while the
+// base relations it read are unchanged. Consulting a new edge discards it,
+// so the next call answers as a module without @save_module would.
+func TestSaveModuleSeesAppends(t *testing.T) {
+	sys := New()
+	if _, err := sys.Consult(`
+		edge(0, 1). edge(1, 2).
+		module tc.
+		export tc(bf).
+		@save_module.
+		tc(X, Y) :- edge(X, Y).
+		tc(X, Y) :- edge(X, Z), tc(Z, Y).
+		end_module.
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if got := answersOf(t, sys, "tc(0, Y)"); len(got) != 2 {
+		t.Fatalf("tc(0, Y) before the load: %v", got)
+	}
+	if _, err := sys.Consult("edge(2, 3)."); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(answersOf(t, sys, "tc(0, Y)"), " "), "(1) (2) (3)"; got != want {
+		t.Errorf("tc(0, Y) after consulting edge(2, 3): %s, want %s", got, want)
+	}
+}
+
+// TestSaveModuleSeesNegatedAppends: an append to a relation read under "not"
+// can take answers away, so it too discards the saved evaluation.
+func TestSaveModuleSeesNegatedAppends(t *testing.T) {
+	sys := New()
+	if _, err := sys.Consult(`
+		a(1). a(2).
+		module m.
+		export p(f).
+		@save_module.
+		p(X) :- a(X), not b(X).
+		end_module.
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if got := answersOf(t, sys, "p(X)"); len(got) != 2 {
+		t.Fatalf("p(X) before the load: %v", got)
+	}
+	if _, err := sys.Consult("b(1)."); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(answersOf(t, sys, "p(X)"), " "), "(2)"; got != want {
+		t.Errorf("p(X) after consulting b(1): %s, want %s", got, want)
+	}
+}

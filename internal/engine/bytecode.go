@@ -526,8 +526,8 @@ func (m *bcMachine) builtin(i int) bool {
 // pattern fills the activation pattern for the item at position i: the
 // compile-time template with bound positions overwritten from the
 // registers, i.e. exactly the resolved view a lookup would compute from the
-// environment store's environment — so index selection, pattern-index
-// keying and hash-probe bucketing are identical under both stores. Every
+// environment store's environment — so index selection and argument- and
+// pattern-index keying are identical under both stores. Every
 // variable of a negated item is bound (eligibility), so its pattern is
 // ground.
 func (m *bcMachine) pattern(i int) ([]term.Term, *term.Env) {

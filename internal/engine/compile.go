@@ -74,15 +74,6 @@ type CItem struct {
 	// a candidate ground fact then matches iff the argument lists are
 	// equal, which hash-consing decides without touching environments.
 	ArgsGround bool
-	// HashKeyPos, when non-nil, marks this item for hash-join access: the
-	// scan is served by a transient build table (relation.JoinTable) keyed
-	// on these argument positions instead of the relation's own lookup
-	// path. Set only by the join planner (plan.go) on planned clones —
-	// the positions are bound by items scheduled earlier, so a probe
-	// selects one bucket. Never set on a schedule's first relation item
-	// (nothing is bound there, and the parallel round splits that item's
-	// ordinal range across tasks).
-	HashKeyPos []int
 	// Slot is the index of a Recursive item's predicate in its stratum's
 	// predicate table (Stratum.Table): semi-naive marks live in slices indexed
 	// by it (ruleRanges, roundSched) rather than in maps keyed by predicate.

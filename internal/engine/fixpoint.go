@@ -44,8 +44,8 @@ type matEval struct {
 	parallelism int
 
 	// planning runs rule versions on the cost-based join planner's schedule
-	// (plan.go), hash build/probe marks included (hashjoin.go); plans caches
-	// fitted schedules per rule version.
+	// (plan.go), with the indexes each schedule probes; plans caches fitted
+	// schedules per rule version.
 	planning bool
 	plans    map[planKey]*cachedPlan
 
@@ -66,6 +66,11 @@ type matEval struct {
 	// each call).
 	guard budgetGuard
 
+	// inputs are the base hash relations a save-module evaluation read, as
+	// of its last call (noteInputs); callSaved discards the state once one
+	// of them has moved.
+	inputs []inputMark
+
 	// Iterations counts fixpoint iterations (reported by benchmarks).
 	Iterations int
 	// ParRounds counts the BSN rounds that actually ran on the worker pool.
@@ -82,6 +87,49 @@ func newMatEval(prog *Program, external func(ast.PredKey) (Source, error)) *matE
 		me.ctx = newOSContext(me)
 	}
 	return me
+}
+
+// inputMark is one base relation a saved evaluation read: its live count
+// and destructive-mutation counter when the evaluation last ran.
+type inputMark struct {
+	r          *relation.HashRelation
+	live, muts int
+}
+
+// noteInputs records every base hash relation the program's rules read —
+// positively or under "not" — as it is now. Relations behind another
+// module's export, and computed or persistent relations, are not tracked:
+// the call reads them through the callee or the relation's own scan.
+func (me *matEval) noteInputs() {
+	me.inputs = me.inputs[:0]
+	for _, st := range me.prog.Strata {
+		for _, group := range [][]*Compiled{st.ExitRules, st.RecRules, st.AggRules} {
+			for _, c := range group {
+				for i := range c.Body {
+					it := &c.Body[i]
+					if it.Kind == ItemBuiltin || me.prog.LocalPreds[it.Pred] {
+						continue
+					}
+					if src, err := me.st.source(it.Pred); err == nil {
+						if hr := hashRelOfWritable(src); hr != nil {
+							me.inputs = append(me.inputs, inputMark{hr, hr.Len(), hr.Mutations()})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// inputsMoved reports whether a base relation noteInputs recorded has
+// gained or lost facts since.
+func (me *matEval) inputsMoved() bool {
+	for _, in := range me.inputs {
+		if in.r.Len() != in.live || in.r.Mutations() != in.muts {
+			return true
+		}
+	}
+	return false
 }
 
 // Err returns the evaluation error, if any.
@@ -326,8 +374,8 @@ type schedRule struct {
 
 // schedVersion is one delta version of a rule: the recursive item written at
 // rr.DeltaPos scans [last, now) of table slot slot. plan is the version's
-// fitted plan and rr the ranges and build tables it runs over, both refreshed
-// at the top of each round (BSN) or at the rule's turn (PSN) by planRule.
+// fitted plan and rr the ranges it runs over, both refreshed at the top of
+// each round (BSN) or at the rule's turn (PSN) by planRule.
 type schedVersion struct {
 	rule *schedRule
 	slot int
@@ -416,13 +464,9 @@ func (me *matEval) emitInto(c *Compiled) emitFunc {
 
 // evalFull applies rule c against full extents (exit rules, naive rounds).
 func (me *matEval) evalFull(rs *roundSched, c *Compiled, emit emitFunc) error {
-	rr := fullRanges
-	plan, err := me.planFor(c, &rr)
-	if err != nil {
-		return err
-	}
+	plan := me.planFor(c, fullRanges.DeltaPos)
 	me.ev.headDup = me.dupRel(rs.rels[c.HeadSlot])
-	err = me.ev.evalRule(plan, &rr, emit)
+	err := me.ev.evalRule(plan, &fullRanges, emit)
 	me.ev.headDup = nil
 	return err
 }
@@ -452,17 +496,14 @@ func (me *matEval) initStratum(rs *roundSched) {
 }
 
 // planRule is the round prologue for r: every delta version gets the ranges
-// it reads — [r.last, now) of its delta slot — a plan fitted against the
-// current statistics, and build tables valid for those ranges.
-func (me *matEval) planRule(r *schedRule, now []relation.Mark) (err error) {
+// it reads — [r.last, now) of its delta slot — and a plan fitted against the
+// current statistics.
+func (me *matEval) planRule(r *schedRule, now []relation.Mark) {
 	for i := range r.vers {
 		v := &r.vers[i]
 		v.rr.Now = now
-		if v.plan, err = me.planFor(r.c, &v.rr); err != nil {
-			return err
-		}
+		v.plan = me.planFor(r.c, v.rr.DeltaPos)
 	}
-	return nil
 }
 
 // applyRule runs all delta versions of r on the evaluation's own evaluator,
@@ -485,11 +526,11 @@ func (me *matEval) applyRule(r *schedRule) (err error) {
 // goroutine; both produce identical relations.
 func (me *matEval) bsnIteration(rs *roundSched) bool {
 	rs.snapshot()
-	var err error
-	for i := 0; i < len(rs.rules) && err == nil; i++ {
-		err = me.planRule(&rs.rules[i], rs.start)
+	for i := range rs.rules {
+		me.planRule(&rs.rules[i], rs.start)
 	}
-	if w := me.workersFor(rs); w > 1 && err == nil {
+	var err error
+	if w := me.workersFor(rs); w > 1 {
 		err = me.runPool(rs, w)
 	} else {
 		for i := 0; i < len(rs.rules) && err == nil; i++ {
@@ -524,11 +565,8 @@ func (me *matEval) psnIteration(rs *roundSched) bool {
 			for s, rel := range rs.rels {
 				rs.turn[s] = rel.Snapshot()
 			}
-			err := me.planRule(r, rs.turn)
-			if err == nil {
-				err = me.applyRule(r)
-			}
-			if err != nil {
+			me.planRule(r, rs.turn)
+			if err := me.applyRule(r); err != nil {
 				return me.abortRound(rs, err)
 			}
 			copy(r.last, rs.turn)

@@ -23,16 +23,12 @@ import (
 // subrange of whatever the discipline above would give that item.
 //
 // Last and Now are indexed by CItem.Slot, the item's predicate in its
-// stratum's predicate table. Tables is indexed by schedule position: the
-// build table of every hash-marked item the application can reach, filled by
-// the round prologue (planFor) and only read from here on — by the caller's
-// evaluator or by any number of pool workers.
+// stratum's predicate table.
 type ruleRanges struct {
 	DeltaPos int
 	Last     []relation.Mark
 	Now      []relation.Mark
 	Split    *splitRange
-	Tables   []*builtTable
 }
 
 // splitRange restricts one body position's scan to an ordinal chunk.
@@ -42,6 +38,22 @@ type splitRange struct {
 }
 
 var fullRanges = ruleRanges{DeltaPos: -1}
+
+// scanBounds returns the ordinal range the semi-naive discipline assigns to
+// relation item it under rr, keyed on the written occurrence (OrigPos).
+func scanBounds(it *CItem, rr *ruleRanges, src Source) (relation.Mark, relation.Mark) {
+	if !it.Recursive || rr.DeltaPos < 0 {
+		return 0, src.Snapshot()
+	}
+	switch {
+	case it.OrigPos == rr.DeltaPos:
+		return rr.Last[it.Slot], rr.Now[it.Slot]
+	case it.OrigPos < rr.DeltaPos:
+		return 0, rr.Last[it.Slot]
+	default:
+		return 0, rr.Now[it.Slot]
+	}
+}
 
 // bindings is a binding store: where the variable bindings of one rule
 // application live while the nested-loops driver (evaluator.run) walks the
@@ -75,10 +87,9 @@ type frame struct {
 	iter relation.Iterator // the open scan; nil between activations
 	done bool              // single-shot item (builtin, negation) already satisfied
 	any  bool              // this activation yielded at least one tuple
-	// probe is the pooled hash-join cursor: openScan resets it in place for
-	// hash-marked items, so reopening the scan per outer tuple allocates
-	// nothing.
-	probe relation.JoinProbe
+	// cursor serves the position's index lookups (lookup): reset in place,
+	// so reopening an indexed scan per outer tuple allocates nothing.
+	cursor relation.IndexCursor
 }
 
 // envStore is the environment-and-trail binding store (paper §5.3: "a trail
@@ -194,16 +205,16 @@ type evalConfig struct {
 type evalCounters struct {
 	Derivations int // successful head instantiations
 	Attempts    int // tuples considered across all loops
-	HashBuilds  int // join build tables constructed
-	HashProbes  int // scans served from a build table
+	IndexBuilds int // argument-form indexes the planner created (ensurePlanIndexes)
+	IndexProbes int // scans and negation probes served from an index cursor
 	BCRuns      int // rule applications bound in the register file
 }
 
 func (c *evalCounters) add(o evalCounters) {
 	c.Derivations += o.Derivations
 	c.Attempts += o.Attempts
-	c.HashBuilds += o.HashBuilds
-	c.HashProbes += o.HashProbes
+	c.IndexBuilds += o.IndexBuilds
+	c.IndexProbes += o.IndexProbes
 	c.BCRuns += o.BCRuns
 }
 
@@ -213,8 +224,8 @@ func (c evalCounters) runStats() RunStats {
 	return RunStats{
 		Derivations:    c.Derivations,
 		Attempts:       c.Attempts,
-		HashJoinBuilds: c.HashBuilds,
-		HashJoinProbes: c.HashProbes,
+		HashJoinBuilds: c.IndexBuilds,
+		HashJoinProbes: c.IndexProbes,
 		BytecodeRuns:   c.BCRuns,
 	}
 }
@@ -443,32 +454,52 @@ func (ev *evaluator) sourceOf(it *CItem, fr *frame) Source {
 // openScan opens the scan for the relation item scheduled at body position
 // pos, applying the semi-naive range discipline for recursive items. The
 // discipline keys on the item's written position (OrigPos), so a planned
-// schedule reads exactly the ranges the written rule would. Items the
-// planner hash-marked are served from their build table instead
-// (hashjoin.go), resetting the frame's pooled probe cursor.
+// schedule reads exactly the ranges the written rule would.
 func (ev *evaluator) openScan(it *CItem, pos int, rr *ruleRanges, fr *frame, s bindings) relation.Iterator {
 	src := ev.sourceOf(it, fr)
 	pat, env := s.pattern(pos)
-	if sp := rr.Split; sp != nil && pos == sp.Pos {
-		return src.LookupRange(pat, env, sp.From, sp.To)
-	}
-	if it.HashKeyPos != nil {
-		ev.HashProbes++
-		rr.Tables[pos].tab.Probe(pat, env, &fr.probe)
-		return &fr.probe
-	}
-	if !it.Recursive || rr.DeltaPos < 0 {
-		return src.Lookup(pat, env)
-	}
 	from, to := scanBounds(it, rr, src)
-	return src.LookupRange(pat, env, from, to)
+	if sp := rr.Split; sp != nil && pos == sp.Pos {
+		from, to = sp.From, sp.To
+	}
+	return ev.lookup(fr, src, pat, env, from, to)
+}
+
+// lookup opens the scan of src's facts in [from, to) that may match pat
+// under env. A hash relation — a snapshot view's included, its range bounded
+// by the view's mark (scanBounds) — is served from the frame's index cursor
+// when one of its indexes covers the pattern's bound positions, and scanned
+// otherwise; any other source does its own lookup.
+func (ev *evaluator) lookup(fr *frame, src Source, pat []term.Term, env *term.Env, from, to relation.Mark) relation.Iterator {
+	hr := hashRelOf(src)
+	if hr == nil {
+		return src.LookupRange(pat, env, from, to)
+	}
+	if fr.cursor.Lookup(hr, pat, env, from, to) {
+		ev.IndexProbes++
+		return &fr.cursor
+	}
+	return hr.ScanRange(from, to)
+}
+
+// hashRelOf unwraps a Source down to its plain *HashRelation, or nil when
+// the source is anything else (module calls, computed, persistent relations).
+func hashRelOf(src Source) *relation.HashRelation {
+	if p, ok := src.(*relation.Prefix); ok {
+		// Reads through a snapshot view go to the underlying relation
+		// bounded by scanBounds, whose upper mark is the view's Snapshot —
+		// the captured cap — so they never see past the snapshot.
+		return p.Rel()
+	}
+	return hashRelOfWritable(src)
 }
 
 // hasMatch reports whether any fact of the negated item's relation unifies
 // with its arguments, which the store hands over ground.
 func (ev *evaluator) hasMatch(it *CItem, fr *frame, s bindings, pos int) bool {
 	pat, env := s.pattern(pos)
-	iter := ev.sourceOf(it, fr).Lookup(pat, env)
+	src := ev.sourceOf(it, fr)
+	iter := ev.lookup(fr, src, pat, env, 0, src.Snapshot())
 	m := ev.tr.Mark()
 	// lint:allow scanloop — negation probes one stored relation with ground
 	// arguments; the scan is bounded by that relation's size.

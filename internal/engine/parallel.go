@@ -108,9 +108,9 @@ func (me *matEval) checkParallelSafe(st *Stratum) bool {
 // runPool runs the round's versions on the worker pool and merges their
 // output. It reports the first failed task's error, having merged nothing.
 func (me *matEval) runPool(rs *roundSched, workers int) error {
-	// The round prologue has planned every version and filled its build
-	// tables (planRule); workers only read them. The split position follows
-	// the delta literal to its planned slot.
+	// The round prologue has planned every version and created the indexes
+	// its schedule probes (planRule); workers only read them. The split
+	// position follows the delta literal to its planned slot.
 	var tasks []parTask
 	for i := range rs.versions {
 		tasks = me.splitVersion(tasks, &rs.versions[i], workers)

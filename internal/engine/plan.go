@@ -36,13 +36,13 @@ import (
 // An evaluation caches its choice per (rule, delta position) and re-fits
 // when the cardinality of any body relation has drifted past a threshold
 // since the fit — across semi-naive rounds that keeps re-planning cheap while
-// tracking the shrinking deltas. The choice is a schedule and a set of hash
-// marks; the artefact it names — the clone with BoundPos and BacktrackTo
-// recomputed for the schedule, and its bytecode — is a pure function of
-// (rule, delta position, schedule, marks) and is built once per Program
-// (planMemo), however many calls and sessions choose it. Missing
-// argument-form indexes for the newly bound positions are created
-// (idempotently) per evaluation so lookups follow the plan.
+// tracking the shrinking deltas. The choice is a schedule; the artefact it
+// names — the clone with BoundPos and BacktrackTo recomputed for the
+// schedule, and its bytecode — is a pure function of (rule, delta position,
+// schedule) and is built once per Program (planMemo), however many calls and
+// sessions choose it. Every fitted schedule, the written order included,
+// gets the argument-form indexes its bound positions probe
+// (ensurePlanIndexes), so every bound literal is served from an index.
 
 // planKey identifies one cached plan: a compiled rule version.
 type planKey struct {
@@ -55,23 +55,16 @@ type planKey struct {
 // sources and their hash relations (nil for builtins, unresolved sources and
 // — rels — sources without statistics), resolved once so the per-round drift
 // check reads row counts and nothing else.
-//
-// tables is the version's build-table array, one slot per schedule position
-// of planned (nil slice when nothing is hash-marked): build tables depend on
-// the data, so they live here, per evaluation, while the clone that names
-// them is shared. The round prologue keeps the slots valid (fillTables) and
-// hands the array to the round through ruleRanges.Tables.
 type cachedPlan struct {
 	planned *Compiled // memoised clone (the written rule when identity)
 	srcs    []Source
 	rels    []*relation.HashRelation
 	fitRows []int
-	tables  []*builtTable
 }
 
 // planMemoKey names one planned artefact: sched lists the written body
-// positions in schedule order, an "h" after each hash-marked one. A rule's
-// delta versions that choose the same schedule and marks share the clone.
+// positions in schedule order. A rule's delta versions that choose the same
+// schedule share the clone.
 type planMemoKey struct {
 	c     *Compiled
 	sched string
@@ -87,16 +80,12 @@ type planMemo struct {
 	m  map[planMemoKey]*Compiled // guarded_by(mu)
 }
 
-// planned returns the clone of c scheduled in the given order with the
-// given schedule positions hash-marked, building it on first sight (its
-// bytecode follows on first run, Compiled.program).
-func (p *Program) planned(c *Compiled, sched []int, marks []bool) *Compiled {
+// planned returns the clone of c scheduled in the given order, building it
+// on first sight (its bytecode follows on first run, Compiled.program).
+func (p *Program) planned(c *Compiled, sched []int) *Compiled {
 	sig := make([]byte, 0, 4*len(sched))
-	for i, oi := range sched {
+	for _, oi := range sched {
 		sig = strconv.AppendInt(sig, int64(oi), 10)
-		if marks[i] {
-			sig = append(sig, 'h')
-		}
 		sig = append(sig, ',')
 	}
 	key := planMemoKey{c: c, sched: string(sig)}
@@ -106,11 +95,6 @@ func (p *Program) planned(c *Compiled, sched []int, marks []bool) *Compiled {
 		return nc
 	}
 	nc := buildPlanned(c, sched)
-	for i, marked := range marks {
-		if marked {
-			nc.Body[i].HashKeyPos = append([]int(nil), nc.Body[i].BoundPos...)
-		}
-	}
 	if p.plans.m == nil {
 		p.plans.m = make(map[planMemoKey]*Compiled)
 	}
@@ -138,49 +122,30 @@ const (
 	// encodes locality the model cannot see (e.g. a delta-seeded schedule
 	// performs more small indexed probes than the written linear rule).
 	planGainMargin = 1.25
-	// Hash-join adoption (hashjoin.go): a non-leading relation item is
-	// served from a transient build table when the flow of partial bindings
-	// reaching it is large enough to amortize the build. With at least
-	// hashMinProbes expected probes, the table is adopted when the probe
-	// work saved (hashProbeGain per probe, against a per-probe index lookup
-	// that allocates an iterator and binary-searches postings) covers the
-	// build cost (hashBuildPerRow per row of the item's scan range).
-	hashMinProbes   = 8
-	hashBuildPerRow = 0.5
-	hashProbeGain   = 1.0
 )
 
 // planFor is the round prologue for one rule version: it returns the rule to
-// evaluate for version (c, rr.DeltaPos) — a planned clone, or c itself when
-// the evaluation keeps the written order (configureEval), or planning is
-// unsafe or a no-op — and points rr.Tables at the clone's build tables,
-// valid for rr's ranges. planFor must be called from the evaluation's writer
-// goroutine — it may create relations, indexes, tables and cache entries. An
-// error is a budget trip during a table build.
-func (me *matEval) planFor(c *Compiled, rr *ruleRanges) (*Compiled, error) {
+// evaluate for version (c, delta) — a planned clone, or c itself when the
+// evaluation keeps the written order (configureEval), or planning is unsafe
+// or a no-op. A fit also creates the indexes the chosen schedule probes
+// (ensurePlanIndexes), so planFor must be called from the evaluation's
+// writer goroutine — it may create relations, indexes and cache entries.
+func (me *matEval) planFor(c *Compiled, delta int) *Compiled {
 	if !me.planning || len(c.Body) < 2 {
-		return c, nil
+		return c
 	}
-	key := planKey{c: c, delta: rr.DeltaPos}
+	key := planKey{c: c, delta: delta}
 	p := me.plans[key]
 	if p == nil || p.drifted() {
 		stats, np := me.bodyStats(c)
-		var marked bool
-		np.planned, marked = me.fitPlan(c, rr.DeltaPos, stats, np.rels)
-		if p != nil && p.planned == np.planned {
-			np.tables = p.tables // the re-fit chose the same clone: its slots stay valid
-		} else if marked {
-			np.tables = make([]*builtTable, len(c.Body))
-		}
+		np.planned = me.fitPlan(c, delta, stats)
+		me.ensurePlanIndexes(np)
 		if me.plans == nil {
 			me.plans = make(map[planKey]*cachedPlan)
 		}
 		me.plans[key], p = np, np
 	}
-	if rr.Tables = p.tables; p.tables == nil {
-		return p.planned, nil
-	}
-	return p.planned, me.fillTables(p, rr)
+	return p.planned
 }
 
 // bodyStats resolves the statistics of every body relation item, and starts
@@ -246,10 +211,10 @@ func (p *cachedPlan) drifted() bool {
 	return false
 }
 
-// fitPlan computes the greedy schedule for one rule version, and reports
-// whether any of its items is hash-marked. It returns c unchanged when the
-// rule cannot be reordered safely or the schedule is the written order.
-func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats, rels []*relation.HashRelation) (*Compiled, bool) {
+// fitPlan computes the greedy schedule for one rule version. It returns c
+// unchanged when the rule cannot be reordered safely or the schedule does
+// not beat the written order.
+func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Compiled {
 	n := len(c.Body)
 	// Groundness requirements per item: the env slots that must be bound
 	// before the item may be scheduled. nil means none.
@@ -273,7 +238,7 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats, rels 
 			case cmpBuiltins[it.Op]:
 				reqs[i] = slotsOf(it.Args)
 			default:
-				return c, false // unknown builtin: keep the written order
+				return c // unknown builtin: keep the written order
 			}
 		}
 	}
@@ -285,7 +250,7 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats, rels 
 	bound := make(map[int]bool)
 	for i := range c.Body {
 		if !slotsSubset(reqs[i], bound) {
-			return c, false
+			return c
 		}
 		bindSlots(&c.Body[i], bound)
 	}
@@ -348,7 +313,7 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats, rels 
 		// Some requirement never became satisfiable: keep the written
 		// order (which passed the same requirements check above only via
 		// call-order effects the greedy pass did not reproduce).
-		return c, false
+		return c
 	}
 	identity := true
 	for i, oi := range order {
@@ -361,74 +326,10 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats, rels 
 	for i := range written {
 		written[i] = i
 	}
-	reordered := !identity &&
-		orderCost(c, order, stats)*planGainMargin < orderCost(c, written, stats)
-	sched := written
-	if reordered {
-		sched = order
+	if identity || orderCost(c, order, stats)*planGainMargin >= orderCost(c, written, stats) {
+		return c
 	}
-	// Hash marks go on a clone even for the written order, never on the
-	// shared compiled rule.
-	marks, marked := markHashItems(c, sched, stats, rels)
-	if !marked && !reordered {
-		return c, false // no reorder and no hash marks: the written rule serves as-is
-	}
-	nc := me.prog.planned(c, sched, marks)
-	me.ensurePlanIndexes(nc)
-	return nc, marked
-}
-
-// markHashItems walks the schedule the way orderCost does — tracking the
-// estimated flow of partial bindings into each position — and marks every
-// relation item for which a build table beats per-probe lookups
-// (hashEligible). static follows buildPlanned's BoundPos convention, so an
-// item counts as keyed exactly when its clone will have a bound position.
-// The leading relation item is never marked: nothing is bound when it is
-// reached, and the parallel round partitions work by splitting exactly that
-// item's ordinal range (splitVersion). Reports the marks by schedule
-// position and whether there are any.
-func markHashItems(c *Compiled, sched []int, stats []relation.Stats, rels []*relation.HashRelation) ([]bool, bool) {
-	marks := make([]bool, len(sched))
-	marked := false
-	bound, static := make(map[int]bool), make(map[int]bool)
-	size := 1.0
-	firstRel := true
-	for i, oi := range sched {
-		it := &c.Body[oi]
-		if it.Kind == ItemRel {
-			keyed := false
-			for _, a := range it.Args {
-				keyed = keyed || coveredBy(a, static)
-			}
-			if !firstRel && keyed && hashEligible(rels[oi], stats[oi], size) {
-				marks[i], marked = true, true
-			}
-			firstRel = false
-			size *= estCost(it, stats[oi], bound)
-			if size < 1 {
-				size = 1
-			}
-		}
-		bindSlots(it, bound)
-		if it.Kind == ItemRel || (it.Kind == ItemBuiltin && it.Op == "=") {
-			for _, a := range it.Args {
-				addSlots(a, static)
-			}
-		}
-	}
-	return marks, marked
-}
-
-// hashEligible decides hash-join access for one scheduled item reached by
-// an estimated probes-many partial bindings. The source must be a plain
-// hash relation — and one without aggregate selections: a displacing insert
-// tombstones mid-round, which nested-loops scans observe at Next time but a
-// table built earlier would not. The caller has checked that a position is
-// bound (the build key); the probe volume must amortize the build (see the
-// hashMinProbes/hashBuildPerRow/hashProbeGain constants).
-func hashEligible(hr *relation.HashRelation, st relation.Stats, probes float64) bool {
-	return hr != nil && len(hr.AggSels()) == 0 &&
-		probes >= hashMinProbes && probes*hashProbeGain >= float64(st.Rows)*hashBuildPerRow
+	return me.prog.planned(c, order)
 }
 
 // orderCost estimates the tuples a schedule considers end to end: walking
@@ -580,27 +481,19 @@ func buildPlanned(c *Compiled, order []int) *Compiled {
 	return nc
 }
 
-// ensurePlanIndexes creates the argument-form indexes the planned schedule
-// wants (idempotent; MakeIndex is a no-op on an existing index). Index
-// creation mutates the relation, so this runs — like planFor itself — only
-// on the writer goroutine, before any parallel workers start.
-func (me *matEval) ensurePlanIndexes(c *Compiled) {
+// ensurePlanIndexes creates the argument-form indexes a fitted schedule
+// probes: one per relation item on the positions bound when the join reaches
+// it (idempotent; MakeIndex is a no-op on an existing index), on the sources
+// bodyStats resolved for the fit. Index creation mutates the relation, so
+// this runs — like planFor itself — only on the writer goroutine, before any
+// parallel workers start.
+func (me *matEval) ensurePlanIndexes(p *cachedPlan) {
 	if me.prog != nil && me.prog.Ann.NoIndexing {
 		return
 	}
-	for i := range c.Body {
-		it := &c.Body[i]
+	for i := range p.planned.Body {
+		it := &p.planned.Body[i]
 		if it.Kind != ItemRel || len(it.BoundPos) == 0 {
-			continue
-		}
-		if it.HashKeyPos != nil {
-			// Hash-marked items are served by transient build tables;
-			// skipping the persistent index (and its per-insert maintenance
-			// from here on) is part of the hash join's win.
-			continue
-		}
-		src, err := me.st.source(it.Pred)
-		if err != nil {
 			continue
 		}
 		if me.sharedRO {
@@ -615,8 +508,26 @@ func (me *matEval) ensurePlanIndexes(c *Compiled) {
 		// sources must never be unwrapped for a write, and the restricted
 		// accessor makes that structural rather than a property of the
 		// sharedRO gate above.
-		if hr := hashRelOfWritable(src); hr != nil {
-			_ = hr.MakeIndex(it.BoundPos...)
+		if hr := hashRelOfWritable(p.srcs[it.OrigPos]); hr != nil && !hr.HasIndex(it.BoundPos...) {
+			if hr.MakeIndex(it.BoundPos...) == nil {
+				me.ev.IndexBuilds++
+			}
 		}
 	}
+}
+
+// hashRelOfWritable is hashRelOf restricted to relations this evaluation
+// may mutate: it has no *relation.Prefix case, so index creation and any
+// other write can never reach the relation underneath a snapshot view, no
+// matter what dynamic gates surround the call site. Prefix-backed sources
+// serve reads only (statistics, scans) through hashRelOf.
+func hashRelOfWritable(src Source) *relation.HashRelation {
+	switch s := src.(type) {
+	case *relation.HashRelation:
+		return s
+	case relSource:
+		hr, _ := s.r.(*relation.HashRelation)
+		return hr
+	}
+	return nil
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"testing"
 
-	"coral/internal/relation"
 	"coral/internal/term"
 )
 
@@ -47,12 +46,7 @@ func plannedRule(t *testing.T, src, form, head string, delta int) (*Compiled, *C
 		}
 		for _, c := range rules {
 			if c.HeadPred.Name == head {
-				marks := make([]relation.Mark, len(st.Table))
-				plan, err := me.planFor(c, &ruleRanges{DeltaPos: delta, Last: marks, Now: marks})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c, plan
+				return c, me.planFor(c, delta)
 			}
 		}
 	}

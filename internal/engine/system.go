@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 
 	"coral/internal/ast"
@@ -73,7 +74,8 @@ func NewSystem() *System {
 // BaseRelation returns (creating if needed) the in-memory base relation for
 // name/arity. It errors when the predicate is already registered with a
 // non-hash representation (computed, persistent, list): those relations
-// cannot accept interactive inserts.
+// cannot accept interactive inserts. A relation created here gets the
+// indexes the installed modules' rules probe it with (indexBase).
 func (sys *System) BaseRelation(name string, arity int) (*relation.HashRelation, error) {
 	key := ast.PredKey{Name: name, Arity: arity}
 	sys.mu.Lock()
@@ -85,6 +87,14 @@ func (sys *System) BaseRelation(name string, arity int) (*relation.HashRelation,
 		return nil, fmt.Errorf("engine: %s exists with a different representation (%T)", key, r)
 	}
 	r := relation.NewHashRelation(name, arity)
+	mods := make([]string, 0, len(sys.modules))
+	for mod := range sys.modules {
+		mods = append(mods, mod)
+	}
+	sort.Strings(mods)
+	for _, mod := range mods {
+		sys.modules[mod].indexBase(map[ast.PredKey]relation.Relation{key: r})
+	}
 	sys.base[key] = r
 	return r, nil
 }
@@ -136,9 +146,8 @@ type ModuleDef struct {
 	progs map[string]*Program // guarded_by(mu); by adornment
 
 	// savedMu serializes save-module calls: the saved matEval is shared
-	// accumulated state (paper §5.4.2 — one evaluation serves every
-	// caller), so concurrent calls take turns, and a shared read-only
-	// caller drains its answers before releasing the lock.
+	// accumulated state (paper §5.4.2 — one evaluation serves every caller
+	// that may write), so concurrent calls take turns.
 	savedMu sync.Mutex
 	saved   map[string]*matEval // guarded_by(savedMu); save-module state, by adornment
 
@@ -202,7 +211,40 @@ func (sys *System) AddModule(m *ast.Module) error {
 		sys.exports[ast.PredKey{Name: e.Pred, Arity: e.Arity}] = def
 	}
 	sys.modules[m.Name] = def
+	def.indexBase(sys.base)
 	return nil
+}
+
+// indexBase is the index policy for base relations: every hash relation in
+// base that a program of the module reads gets the argument-form indexes the
+// program's rules probe it with in written order (Program.IndexReqs, paper
+// §3.3, §5.3). The planner adds the indexes a reordered schedule probes when
+// it fits one (ensurePlanIndexes), on the relations the evaluation may
+// write. Callers hold sys.mu for writing — AddModule for the relations that
+// exist when a module is installed, BaseRelation for one created later — so
+// no evaluation reads a relation while its indexes are built, and a
+// read-only snapshot session finds them already there. Programs are visited
+// in form order, so a relation's indexes, and the one a lookup picks among
+// equally wide candidates, do not depend on map order.
+func (def *ModuleDef) indexBase(base map[ast.PredKey]relation.Relation) {
+	progs := def.Programs()
+	forms := make([]string, 0, len(progs))
+	for form := range progs {
+		forms = append(forms, form)
+	}
+	sort.Strings(forms)
+	for _, form := range forms {
+		prog := progs[form]
+		for key, reqs := range prog.IndexReqs {
+			hr, ok := base[key].(*relation.HashRelation)
+			if !ok || prog.LocalPreds[key] {
+				continue
+			}
+			for _, pos := range reqs {
+				_ = hr.MakeIndex(pos...) // compiled argument positions: always in range
+			}
+		}
+	}
 }
 
 // Module returns an installed module by name.
@@ -326,17 +368,12 @@ type callCfg struct {
 	guard func() budgetGuard
 	// sharedRO marks a concurrent read-only evaluation: it must not mutate
 	// anything shared (no index creation on shared relations, no
-	// assert/retract), and save-module answers are drained under the
-	// module's lock instead of streamed.
+	// assert/retract, no saved save-module state).
 	sharedRO bool
 	// onEval observes each private materialized evaluation the call sets
 	// up; the caller reads its counters once the scan is drained
 	// (per-query statistics).
 	onEval func(*matEval)
-	// onSaved receives the counter delta a save-module call contributed
-	// (saved evaluations accumulate across calls, so raw counters would
-	// double-count).
-	onSaved func(RunStats)
 }
 
 // defaultCfg is the single-caller configuration: live sources, the
@@ -369,7 +406,7 @@ func (def *ModuleDef) callWith(cfg callCfg, pred ast.PredKey, args []term.Term, 
 	if err != nil {
 		return nil, err
 	}
-	if prog.SaveModule {
+	if prog.SaveModule && !cfg.sharedRO {
 		return def.callSaved(cfg, prog, pred, form, args, env)
 	}
 	me := newMatEval(prog, cfg.external)
@@ -388,37 +425,35 @@ func (def *ModuleDef) callWith(cfg callCfg, pred ast.PredKey, args []term.Term, 
 	return scan, nil
 }
 
-// callSaved is the save-module arm of callWith: the saved matEval is shared
-// accumulated state, so calls serialize on savedMu. Save-module computes
-// eagerly — suspending a shared evaluation between calls would interleave
-// two consumers — and a shared read-only caller additionally drains its
-// matching answers before releasing the lock, so concurrent sessions never
-// share a live scan.
+// callSaved is the save-module arm of callWith, for callers that may write.
+// A shared read-only caller evaluates privately instead, like a call to any
+// other module: a snapshot session must neither read state derived from
+// facts past its marks nor advance shared state to marks later callers
+// cannot see. The saved matEval is shared accumulated state, so calls
+// serialize on savedMu, and save-module computes eagerly — suspending a
+// shared evaluation between calls would interleave two consumers.
+//
+// The state is reused only while every base relation it read is as it was
+// when the last call finished (matEval.inputsMoved): an append can add
+// answers, and an append to a relation read under "not", or any delete, can
+// take them away. A moved input — or an aborted previous call, which leaves
+// relations missing derivations or holding a torn round — discards the state,
+// and a fresh evaluation replaces it.
 func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, form string, args []term.Term, env *term.Env) (relation.Iterator, error) {
 	def.savedMu.Lock()
 	defer def.savedMu.Unlock()
 	me := def.saved[formKey(pred.Name, form)]
-	if me == nil || me.err != nil {
-		// No saved state yet — or the previous call aborted, leaving
-		// relations that may be missing derivations (or, mid-round,
-		// partial ones): the state is invalid and a fresh evaluation
-		// replaces it, so a follow-up call sees no torn state.
+	if me == nil || me.err != nil || me.inputsMoved() {
 		me = newMatEval(prog, def.sys.external)
 		def.saved[formKey(pred.Name, form)] = me
 	}
 	def.configureEval(me, cfg, prog)
-	before := me.counters()
 	me.addSeed(args, env)
 	scan := def.newAnswerScan(me, prog, pred, args, env)
 	me.run()
-	if cfg.onSaved != nil {
-		cfg.onSaved(me.counters().sub(before))
-	}
+	me.noteInputs()
 	if me.err != nil {
 		return nil, me.err
-	}
-	if cfg.sharedRO {
-		return drainScan(scan)
 	}
 	return scan, nil
 }
@@ -440,11 +475,10 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 //	                                            estimates where those are cold
 //	                                            (planFor, staticSeeder); the
 //	                                            clone it names is built once per
-//	                                            Program (Program.planned)
-//	  item reached by ≥ 8 estimated probes    hash build/probe instead of
-//	  that amortize a build, plain hash         per-probe index lookup, table
-//	  relation, no aggregate selection          filled by the round prologue
-//	                                            (markHashItems, fillTables)
+//	                                            Program (Program.planned), and
+//	                                            every fitted schedule gets the
+//	                                            indexes it probes
+//	                                            (ensurePlanIndexes)
 //	  rule in the compiled fragment, hash     bindings in the register file,
 //	  sources, ground scan ranges               compiled once per rule or
 //	                                            memoised plan; anything else in
@@ -456,10 +490,14 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 //	  selections in the program                 (workersFor)
 //	concurrent read-only caller (sharedRO)    plan indexes only on the
 //	                                            evaluation's own relations
+//	                                            (base relations carry the
+//	                                            written-order ones, indexBase)
 //
 // Every row runs the one nested-loops driver (evaluator.run); the rows pick
-// its plan and its binding store. The zero-valued flags of a bare newMatEval
-// are the reference row.
+// its plan and its binding store. On every row a bound literal over a hash
+// relation is read from the relation's index through the join position's
+// index cursor (evaluator.lookup). The zero-valued flags of a bare
+// newMatEval are the reference row.
 func (def *ModuleDef) configureEval(me *matEval, cfg callCfg, prog *Program) {
 	reference := me.ctx != nil || me.ev.trace != nil
 	me.planning = !reference
@@ -525,24 +563,6 @@ func (def *ModuleDef) newAnswerScan(me *matEval, prog *Program, pred ast.PredKey
 	}
 	return &answerScan{me: me, pattern: pat, patVars: nvars,
 		keep: prog.KeepPositions, fullArity: pred.Arity}
-}
-
-// drainScan materializes a completed evaluation's matching answers into a
-// private iterator (a shared read-only caller must not hold a live scan
-// over shared state once the module lock is released). The evaluation has
-// already run to completion, so Next only filters stored facts; a typed
-// abort from the scan is re-thrown to the caller's recovery point.
-func drainScan(scan *answerScan) (relation.Iterator, error) {
-	var facts []Fact
-	// lint:allow scanloop — replays an already-computed answer relation
-	// under the module lock; growth was budget-checked at insert.
-	for {
-		f, ok := scan.Next()
-		if !ok {
-			return relation.SliceIterator(facts), nil
-		}
-		facts = append(facts, f)
-	}
 }
 
 // progForCall returns the compiled program for a call: the plain program

@@ -158,7 +158,6 @@ func (s *viewCallSource) Lookup(pattern []term.Term, env *term.Env) relation.Ite
 		guard:    s.v.newGuard,
 		sharedRO: true,
 		onEval:   s.acc.collect,
-		onSaved:  s.acc.addSaved,
 	}
 	it, err := s.def.callWith(cfg, s.pred, pattern, env)
 	if err != nil {
@@ -188,7 +187,6 @@ func (s *viewCallSource) Snapshot() relation.Mark { return 0 }
 type statsAcc struct {
 	mu    sync.Mutex
 	evals []*matEval // guarded_by(mu)
-	saved RunStats   // guarded_by(mu)
 }
 
 func (a *statsAcc) collect(me *matEval) {
@@ -197,18 +195,12 @@ func (a *statsAcc) collect(me *matEval) {
 	a.mu.Unlock()
 }
 
-func (a *statsAcc) addSaved(st RunStats) {
-	a.mu.Lock()
-	a.saved = a.saved.add(st)
-	a.mu.Unlock()
-}
-
 // total sums the accumulated counters; called after the query finishes, so
 // every collected evaluation is quiescent.
 func (a *statsAcc) total() RunStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := a.saved
+	var st RunStats
 	for _, me := range a.evals {
 		st = st.add(me.counters())
 	}

@@ -66,9 +66,9 @@ type HashRelation struct {
 	deadAtCompact int
 
 	// mutations counts destructive changes — deletes, truncations, clears.
-	// Appends never bump it: a derived structure built over a mark-bounded
-	// prefix (the engine's join build tables) stays valid across appends,
-	// and checks this counter to detect everything else.
+	// Appends never bump it: a view over a mark-bounded prefix (a snapshot's
+	// Prefix) stays valid across appends, and checks this counter to detect
+	// everything else.
 	mutations int
 }
 
@@ -512,22 +512,20 @@ func (r *HashRelation) Lookup(pattern []term.Term, env *term.Env) Iterator {
 // LookupRange implements Relation: it picks the most selective usable index
 // for the pattern; with no usable index it degrades to a range scan.
 func (r *HashRelation) LookupRange(pattern []term.Term, env *term.Env, from, to Mark) Iterator {
-	if best := r.chooseArgIndex(pattern, env); best != nil {
-		if it, ok := best.lookup(pattern, env, int32(from), int32(to)); ok {
-			return it
-		}
+	bucket, vars, ok := r.postings(pattern, env)
+	if !ok {
+		return r.ScanRange(from, to)
 	}
-	for _, ix := range r.patIndexes {
-		if it, ok := ix.lookup(pattern, env, int32(from), int32(to)); ok {
-			return it
-		}
-	}
-	return r.ScanRange(from, to)
+	c := new(IndexCursor)
+	c.reset(r, bucket, vars, from, to)
+	return c
 }
 
-// chooseArgIndex returns the argument-form index with the largest number of
-// positions that are all bound (ground) in the pattern under env.
-func (r *HashRelation) chooseArgIndex(pattern []term.Term, env *term.Env) *argIndex {
+// postings returns the two posting lists the best usable index selects for
+// the pattern under env: the argument-form index with the most positions
+// that are all bound (ground), else the first pattern-form index that can
+// key the pattern. It reports false when no index serves the pattern.
+func (r *HashRelation) postings(pattern []term.Term, env *term.Env) (bucket, vars []int32, ok bool) {
 	var best *argIndex
 	for _, ix := range r.indexes {
 		if !ix.usable(pattern, env) {
@@ -537,24 +535,17 @@ func (r *HashRelation) chooseArgIndex(pattern []term.Term, env *term.Env) *argIn
 			best = ix
 		}
 	}
-	return best
-}
-
-// ordIter iterates a sorted ordinal posting list restricted to [from, to).
-type ordIter struct {
-	rel   *HashRelation
-	lists [][]int32 // each ordinal-sorted; merged lazily
-	pos   []int
-	from  int32
-	to    int32
-}
-
-func newOrdIter(rel *HashRelation, from, to int32, lists ...[]int32) *ordIter {
-	it := &ordIter{rel: rel, lists: lists, pos: make([]int, len(lists)), from: from, to: to}
-	for i, l := range lists {
-		it.pos[i] = lowerBound(l, from)
+	if best != nil {
+		if bucket, vars, ok = best.lookup(pattern, env); ok {
+			return bucket, vars, true
+		}
 	}
-	return it
+	for _, ix := range r.patIndexes {
+		if bucket, vars, ok = ix.lookup(pattern, env); ok {
+			return bucket, vars, true
+		}
+	}
+	return nil, nil, false
 }
 
 // lowerBound returns the first index in sorted l with l[i] >= v.
@@ -569,28 +560,4 @@ func lowerBound(l []int32, v int32) int {
 		}
 	}
 	return lo
-}
-
-func (it *ordIter) Next() (Fact, bool) {
-	for {
-		// Pick the smallest next ordinal across lists (usually 1-2 lists).
-		bestList, bestOrd := -1, int32(0)
-		for i, l := range it.lists {
-			p := it.pos[i]
-			if p >= len(l) || l[p] >= it.to {
-				continue
-			}
-			if bestList == -1 || l[p] < bestOrd {
-				bestList, bestOrd = i, l[p]
-			}
-		}
-		if bestList == -1 {
-			return Fact{}, false
-		}
-		it.pos[bestList]++
-		sf := &it.rel.facts[bestOrd]
-		if !sf.dead {
-			return sf.fact, true
-		}
-	}
 }

@@ -11,7 +11,6 @@ import (
 // whose indexed arguments are not all ground hash to the special bucket the
 // paper calls "var" and are returned on every lookup.
 type argIndex struct {
-	rel       *HashRelation
 	positions []int
 	buckets   map[uint64][]int32
 	varBucket []int32
@@ -32,7 +31,7 @@ func (r *HashRelation) MakeIndex(positions ...int) error {
 			return nil
 		}
 	}
-	ix := &argIndex{rel: r, positions: positions, buckets: make(map[uint64][]int32)}
+	ix := &argIndex{positions: positions, buckets: make(map[uint64][]int32)}
 	for ord := range r.facts {
 		// Dead facts keep postings until compaction; iterators skip them.
 		ix.insert(r.facts[ord].fact, int32(ord))
@@ -89,12 +88,64 @@ func (ix *argIndex) usable(pattern []term.Term, env *term.Env) bool {
 	return true
 }
 
-// lookup returns an iterator over the matching bucket plus the var bucket.
-// It reports false when the pattern is not ground at the indexed positions.
-func (ix *argIndex) lookup(pattern []term.Term, env *term.Env, from, to int32) (Iterator, bool) {
+// lookup returns the postings a pattern selects: the bucket of its key and
+// the var bucket. It reports false when the pattern is not ground at the
+// indexed positions.
+func (ix *argIndex) lookup(pattern []term.Term, env *term.Env) (bucket, vars []int32, ok bool) {
 	h, ground := term.HashBound(pattern, ix.positions, env)
 	if !ground {
-		return nil, false
+		return nil, nil, false
 	}
-	return newOrdIter(ix.rel, from, to, ix.buckets[h], ix.varBucket), true
+	return ix.buckets[h], ix.varBucket, true
+}
+
+// IndexCursor iterates the facts an index lookup selects within an ordinal
+// range: the merge, in ascending ordinal order, of the key's bucket and the
+// index's var bucket, skipping tombstones. It visits exactly the candidates,
+// in exactly the order, that a scan of the same range would pass to the
+// join — only the facts the key rules out are skipped.
+//
+// A cursor is reusable: Lookup resets it in place. The join keeps one per
+// nested-loops position and reopens it per outer tuple, so an indexed scan
+// allocates nothing. The zero value is an exhausted cursor.
+type IndexCursor struct {
+	rel          *HashRelation
+	bucket, vars []int32 // unvisited postings, each ordinal-sorted
+	to           int32
+}
+
+// Lookup resets c to the facts of r in [from, to) that the best usable
+// index selects for pattern under env (LookupRange's choice), and reports
+// whether an index served the pattern. On false c is left as it was and the
+// caller scans the range instead.
+func (c *IndexCursor) Lookup(r *HashRelation, pattern []term.Term, env *term.Env, from, to Mark) bool {
+	bucket, vars, ok := r.postings(pattern, env)
+	if ok {
+		c.reset(r, bucket, vars, from, to)
+	}
+	return ok
+}
+
+func (c *IndexCursor) reset(r *HashRelation, bucket, vars []int32, from, to Mark) {
+	c.rel, c.to = r, int32(to)
+	c.bucket = bucket[lowerBound(bucket, int32(from)):]
+	c.vars = vars[lowerBound(vars, int32(from)):]
+}
+
+// Next implements Iterator.
+func (c *IndexCursor) Next() (Fact, bool) {
+	for {
+		var ord int32
+		switch {
+		case len(c.bucket) > 0 && c.bucket[0] < c.to && (len(c.vars) == 0 || c.bucket[0] < c.vars[0]):
+			ord, c.bucket = c.bucket[0], c.bucket[1:]
+		case len(c.vars) > 0 && c.vars[0] < c.to:
+			ord, c.vars = c.vars[0], c.vars[1:]
+		default:
+			return Fact{}, false
+		}
+		if sf := &c.rel.facts[ord]; !sf.dead {
+			return sf.fact, true
+		}
+	}
 }

@@ -20,7 +20,6 @@ import (
 // pattern does not match, or whose key bindings are non-ground, go to the
 // overflow bucket and are returned on every lookup.
 type patternIndex struct {
-	rel     *HashRelation
 	pattern []term.Term // canonical: variables numbered 0..nvars-1
 	keyVars []int       // indices of the key variables
 	nvars   int
@@ -50,7 +49,6 @@ func (r *HashRelation) MakePatternIndex(pattern []term.Term, keyNames []string) 
 		keyVars = append(keyVars, idx)
 	}
 	ix := &patternIndex{
-		rel:     r,
 		pattern: canon,
 		keyVars: keyVars,
 		nvars:   nvars,
@@ -118,13 +116,14 @@ func (ix *patternIndex) clear() {
 	ix.overflow = nil
 }
 
-// lookup keys the query pattern the same way facts are keyed. ok is false
-// when this index cannot serve the query (pattern mismatch or non-ground
-// key), in which case the relation falls back to other indexes or a scan.
-func (ix *patternIndex) lookup(pattern []term.Term, env *term.Env, from, to int32) (Iterator, bool) {
+// lookup keys the query pattern the same way facts are keyed and returns
+// the key's bucket and the overflow bucket. ok is false when this index
+// cannot serve the query (pattern mismatch or non-ground key), in which case
+// the relation falls back to other indexes or a scan.
+func (ix *patternIndex) lookup(pattern []term.Term, env *term.Env) (bucket, overflow []int32, ok bool) {
 	key, ok := ix.keyFor(pattern, env)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
-	return newOrdIter(ix.rel, from, to, ix.buckets[key], ix.overflow), true
+	return ix.buckets[key], ix.overflow, true
 }

@@ -51,7 +51,7 @@ func (r *HashRelation) PrefixAt(to Mark) *Prefix {
 }
 
 // Rel returns the underlying relation (the engine unwraps it for planner
-// statistics and hash-join build tables, whose scan ranges are bounded by
+// statistics and for index-cursor scans, whose ranges are bounded by
 // Snapshot and therefore respect the cap).
 func (p *Prefix) Rel() *HashRelation { return p.r }
 

@@ -10,7 +10,7 @@ import (
 // roviolAnalyzer enforces the snapshot read-only discipline (DESIGN.md
 // §5.16/§5.17): a relation.Prefix is an immutable historical view, and the
 // *HashRelation a Prefix unwraps to (Rel(), the sharedRO access path for
-// planner statistics and hash-join builds) is writable Go-wise but must
+// planner statistics and index-cursor scans) is writable Go-wise but must
 // never be written — a mutation through it would tear every session
 // pinned to the snapshot.
 //
