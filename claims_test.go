@@ -58,6 +58,8 @@ func TestPaperClaims(t *testing.T) {
 			"q(P) :- edge(X, Y), edge(Y, Z), pick(P), edge(P, X).\nend_module.\n"
 	}
 
+	diamonds := diamondChain(12)
+
 	for _, c := range []paperClaim{
 		{"E01", "§5.3", "Derivations",
 			claimArm{"BSN", derivations(workload.Chain(32)+workload.TCModule("@rewrite none."), "tc(X, Y)")},
@@ -68,6 +70,14 @@ func TestPaperClaims(t *testing.T) {
 		{"E03", "§4.1", "FactsStored",
 			claimArm{"supplementary magic", factsStored(tree+workload.TCModule(""), boundTreeQuery)},
 			claimArm{"@rewrite none", factsStored(tree+workload.TCModule("@rewrite none."), boundTreeQuery)}},
+		// Pipelining stores no facts; materialization stores them and so
+		// does not recompute the subgoals a diamond chain shares.
+		{"E04_stores_nothing", "§5, §5.2", "FactsStored",
+			claimArm{"pipelined", factsStored(workload.Chain(32)+workload.TCModule("@pipelining."), "tc(0, Y)")},
+			claimArm{"materialized", factsStored(workload.Chain(32)+workload.TCModule(""), "tc(0, Y)")}},
+		{"E04_recomputes", "§5, §5.2", "Attempts",
+			claimArm{"materialized", attempts(diamonds+workload.TCModule(""), "tc(0, 36)")},
+			claimArm{"pipelined", attempts(diamonds+workload.TCModule("@pipelining."), "tc(0, 36)")}},
 		{"E06", "§3.3, §5.3", "Attempts",
 			claimArm{"indexed", attempts(graph+workload.TCModule("@rewrite none."), "tc(0, Y)")},
 			claimArm{"@no_indexing", attempts(graph+workload.TCModule("@rewrite none.\n@no_indexing."), "tc(0, Y)")}},
@@ -124,6 +134,16 @@ end_module.
 			}
 		})
 	}
+}
+
+// diamondChain writes k diamonds in a row: node 3i reaches 3i+3 through
+// 3i+1 and through 3i+2, so 0 reaches 3k along 2^k paths.
+func diamondChain(k int) string {
+	var src string
+	for i := 0; i < 3*k; i += 3 {
+		src += fmt.Sprintf("edge(%d, %d). edge(%d, %d). edge(%d, %d). edge(%d, %d).\n", i, i+1, i, i+2, i+1, i+3, i+2, i+3)
+	}
+	return src
 }
 
 // crossProduct writes big1/big2 (n rows each, unrelated) and a selective

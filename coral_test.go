@@ -658,3 +658,33 @@ func TestSaveModuleSeesNegatedAppends(t *testing.T) {
 		t.Errorf("p(X) after consulting b(1): %s, want %s", got, want)
 	}
 }
+
+// TestSaveModuleSeesCrossModuleAppends: a saved evaluation that reads a base
+// relation through another module's export must see appends to it too.
+func TestSaveModuleSeesCrossModuleAppends(t *testing.T) {
+	sys := New()
+	if _, err := sys.Consult(`
+		edge(0, 1). edge(1, 2).
+		module e.
+		export hop(ff).
+		hop(X, Y) :- edge(X, Y).
+		end_module.
+		module tc.
+		export tc(bf).
+		@save_module.
+		tc(X, Y) :- hop(X, Y).
+		tc(X, Y) :- hop(X, Z), tc(Z, Y).
+		end_module.
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if got := answersOf(t, sys, "tc(0, Y)"); len(got) != 2 {
+		t.Fatalf("tc(0, Y) before the load: %v", got)
+	}
+	if _, err := sys.Consult("edge(2, 3)."); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(answersOf(t, sys, "tc(0, Y)"), " "), "(1) (2) (3)"; got != want {
+		t.Errorf("tc(0, Y) after consulting edge(2, 3): %s, want %s", got, want)
+	}
+}

@@ -15,7 +15,7 @@ import (
 //
 // Check placement (DESIGN.md §5.11): the context and deadline are checked at
 // every round barrier (matEval.step) and, amortized every budgetCheckEvery
-// tuples, inside the join loop and the pipelined iterators, so a single
+// tuples, inside the join loop — pipelined goals run on it too — so a single
 // runaway rule application cannot outlive its deadline by more than one poll
 // interval. The fact budget is charged on every accepted derived-fact insert
 // (shared atomically with parallel workers, which charge their buffered
@@ -93,16 +93,16 @@ func (e *AbortError) Error() string {
 func (e *AbortError) Unwrap() error { return e.cause }
 
 // budgetCheckEvery is the amortization interval of the in-scan budget polls:
-// the join loop and the pipelined iterators consult the clock and the
-// context once per this many tuples. A package variable so the
-// fault-injection tests can set it to 1 for per-tuple cancellation points.
+// the join loop consults the clock and the context once per this many
+// tuples. A package variable so the fault-injection tests can set it to 1
+// for per-tuple cancellation points.
 var budgetCheckEvery = 256
 
 // budgetGuard is the per-call incarnation of System.Ctx and System.Budget:
 // the deadline is anchored at call time and the fact counter starts at
-// zero. It is embedded by value in matEval and pipeEval — a call without
-// budgets pays no allocation and (in the join loop) a single nil check per
-// tuple. The facts counter is a plain int64 manipulated with sync/atomic
+// zero. It is embedded by value in matEval (a pipelined call allocates one
+// only when a bound is in force) — a call without budgets pays no
+// allocation and (in the join loop) a single nil check per tuple. The facts counter is a plain int64 manipulated with sync/atomic
 // functions so the struct stays copyable at initialization time; after
 // workers are handed a pointer it must not be copied.
 type budgetGuard struct {
@@ -167,8 +167,8 @@ func (g *budgetGuard) checkRound(iterations int) error {
 }
 
 // poll throws the abort through the evaluation's panic channel; it is
-// called from inside join scans and pipelined iterators, whose entry points
-// recover it into an ordinary error (see recoverEval).
+// called from inside join scans, whose entry points recover it into an
+// ordinary error (see recoverEval).
 func (g *budgetGuard) poll() {
 	if err := g.check(); err != nil {
 		Throw(err)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/big"
 
+	"coral/internal/ast"
+	"coral/internal/relation"
 	"coral/internal/term"
 )
 
@@ -325,4 +327,46 @@ func operandValue(t term.Term, env *term.Env) (term.Term, bool) {
 	}
 	res, _ := term.ResolveArgs([]term.Term{t}, env)
 	return res[0], true
+}
+
+// isUpdate recognizes the side-effecting updates pipelining allows (paper
+// §5.2: its guaranteed order of execution lets programs "use predicates like
+// updates that involve side-effects").
+func isUpdate(key ast.PredKey) bool {
+	return key.Arity == 1 && (key.Name == "assert" || key.Name == "retract")
+}
+
+// update performs assert(fact) or retract(pattern) on a base relation for a
+// pipelined rule (pipeCall.source); backtracking does not undo it.
+func (pc *pipeCall) update(op string, arg term.Term, env *term.Env) {
+	t, e := term.Deref(arg, env)
+	f, ok := t.(*term.Functor)
+	if !ok || f.IsAtom() {
+		throwf("engine: %s expects a predicate term, got %s", op, t)
+	}
+	key, sys := ast.PredKey{Name: f.Sym, Arity: len(f.Args)}, pc.def.sys
+	if pc.cfg.sharedRO { // a server session: other sessions' reads would race
+		throwf("engine: %s is not available in a read-only evaluation", op)
+	}
+	if _, isModule := sys.Export(key); isModule {
+		throwf("engine: %s cannot modify %s: it is defined by a module", op, key)
+	}
+	rel, ok := sys.Relation(key)
+	if !ok {
+		hr, err := sys.BaseRelation(key.Name, key.Arity)
+		if err != nil {
+			throwf("%v", err)
+		}
+		rel = hr
+	}
+	d, canDelete := rel.(relation.Deleter)
+	switch {
+	case op == "assert": // a non-ground fact is universally quantified (§3.1)
+		rel.Insert(relation.NewFact(f.Args, e))
+	case !canDelete:
+		throwf("engine: relation %s does not support deletion", key)
+	default:
+		resolved, _ := term.ResolveArgs(f.Args, e)
+		d.Delete(resolved, nil)
+	}
 }

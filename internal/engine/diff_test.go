@@ -100,7 +100,7 @@ func refCall(sys *System, goal ast.Literal) (out []string, stats RunStats, err e
 		}
 		out = append(out, f.String())
 	}
-	stats = me.counters()
+	stats = me.runStats()
 	stats.Answers = len(out)
 	return out, stats, nil
 }

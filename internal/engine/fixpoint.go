@@ -66,9 +66,9 @@ type matEval struct {
 	// each call).
 	guard budgetGuard
 
-	// inputs are the base hash relations a save-module evaluation read, as
-	// of its last call (noteInputs); callSaved discards the state once one
-	// of them has moved.
+	// inputs are the base relations a save-module evaluation read, itself
+	// or behind the exports it calls, as of its last call (noteInputs);
+	// callSaved discards the state once one of them has moved.
 	inputs []inputMark
 
 	// Iterations counts fixpoint iterations (reported by benchmarks).
@@ -96,36 +96,38 @@ type inputMark struct {
 	live, muts int
 }
 
-// noteInputs records every base hash relation the program's rules read —
-// positively or under "not" — as it is now. Relations behind another
-// module's export, and computed or persistent relations, are not tracked:
-// the call reads them through the callee or the relation's own scan.
-func (me *matEval) noteInputs() {
-	me.inputs = me.inputs[:0]
-	for _, st := range me.prog.Strata {
-		for _, group := range [][]*Compiled{st.ExitRules, st.RecRules, st.AggRules} {
-			for _, c := range group {
-				for i := range c.Body {
-					it := &c.Body[i]
-					if it.Kind == ItemBuiltin || me.prog.LocalPreds[it.Pred] {
-						continue
-					}
-					if src, err := me.st.source(it.Pred); err == nil {
-						if hr := hashRelOfWritable(src); hr != nil {
-							me.inputs = append(me.inputs, inputMark{hr, hr.Len(), hr.Mutations()})
-						}
-					}
+// noteInputs records, as they are now, the base relations def's rules read
+// — positively or under "not" — and, transitively, those behind the exports
+// they call (the walk staticOracle makes, with a visited set). A computed or
+// persistent relation has no counters to compare: it counts as always moved.
+func (me *matEval) noteInputs(def *ModuleDef, visited map[*ModuleDef]bool) {
+	visited[def] = true
+	local := make(map[ast.PredKey]bool)
+	for _, r := range def.Src.Rules {
+		local[r.Head.Key()] = true
+	}
+	for _, r := range def.Src.Rules {
+		for _, l := range r.Body {
+			if key := l.Key(); l.Builtin() || local[key] {
+				continue
+			} else if rel, ok := def.sys.Relation(key); ok {
+				var in inputMark // r nil: always moved
+				if hr, isHash := rel.(*relation.HashRelation); isHash {
+					in = inputMark{hr, hr.Len(), hr.Mutations()}
 				}
+				me.inputs = append(me.inputs, in)
+			} else if callee, ok := def.sys.Export(key); ok && !visited[callee] {
+				me.noteInputs(callee, visited)
 			}
 		}
 	}
 }
 
-// inputsMoved reports whether a base relation noteInputs recorded has
-// gained or lost facts since.
+// inputsMoved reports whether a relation noteInputs recorded has gained or
+// lost facts since.
 func (me *matEval) inputsMoved() bool {
 	for _, in := range me.inputs {
-		if in.r.Len() != in.live || in.r.Mutations() != in.muts {
+		if in.r == nil || in.r.Len() != in.live || in.r.Mutations() != in.muts {
 			return true
 		}
 	}
@@ -135,10 +137,10 @@ func (me *matEval) inputsMoved() bool {
 // Err returns the evaluation error, if any.
 func (me *matEval) Err() error { return me.err }
 
-// counters reports the evaluation's engine counters as RunStats (Answers is
+// runStats reports the evaluation's engine counters as RunStats (Answers is
 // the scan's business and stays zero). Saved evaluations accumulate across
 // calls; callers wanting one call's contribution subtract a before-snapshot.
-func (me *matEval) counters() RunStats {
+func (me *matEval) runStats() RunStats {
 	st := me.ev.runStats()
 	st.Iterations, st.ParallelRounds = me.Iterations, me.ParRounds
 	for _, rel := range me.st.local {
@@ -164,7 +166,7 @@ func (me *matEval) setGuard(g budgetGuard) {
 // it get" report AbortError carries.
 func (me *matEval) fail(err error) {
 	if me.err == nil {
-		noteAbortStats(err, me.counters())
+		noteAbortStats(err, me.runStats())
 		me.err = err
 	}
 	me.finished = true

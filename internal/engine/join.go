@@ -295,7 +295,7 @@ func (ev *evaluator) evalRule(c *Compiled, rr *ruleRanges, emit emitFunc) (err e
 			ev.frames = append(ev.frames, frame{})
 		}
 		frames := ev.frames[:len(c.Body)]
-		ev.run(c, rr, ev.bind(c, rr, frames), frames, emit)
+		ev.run(c, rr, ev.bind(c, rr, frames), frames, 0, emit)
 	}()
 	// Every binding — including into pooled fact envs — is trailed, so one
 	// undo returns all pooled environments to fully unbound, even when a
@@ -313,12 +313,12 @@ func (ev *evaluator) evalRule(c *Compiled, rr *ruleRanges, emit emitFunc) (err e
 // will cover hold only ground facts; anything else binds in the environment
 // store. Nothing observable happens here: the sources looked at on the way
 // stay in the frames, and one that fails to resolve throws when (if) the
-// join reaches it (sourceOf).
+// join reaches it (sourceOf). It also opens the frames for run.
 func (ev *evaluator) bind(c *Compiled, rr *ruleRanges, frames []frame) bindings {
 	regs := ev.bytecode && c.program() != nil
 	for i := range c.Body {
 		it, fr := &c.Body[i], &frames[i]
-		fr.src = nil
+		fr.src, fr.iter, fr.done = nil, nil, false
 		if !regs || it.Kind == ItemBuiltin {
 			continue
 		}
@@ -343,10 +343,14 @@ func (ev *evaluator) bind(c *Compiled, rr *ruleRanges, frames []frame) bindings 
 	return &ev.envs
 }
 
-// run drives the nested-loops join over binding store s. It uses explicit
-// iterator frames so intelligent backtracking can jump over positions that
-// cannot change a failed literal's bindings.
-func (ev *evaluator) run(c *Compiled, rr *ruleRanges, s bindings, frames []frame, emit emitFunc) {
+// run drives the nested-loops join over binding store s from position i, on
+// frames its caller opened (bind), and returns -1 once the join is exhausted
+// or, when emit declines further derivations, the position to resume at: the
+// frames, the store and its trail are the whole state of the join, so a run
+// re-entered there over all three carries on (pipeline.go). The explicit
+// frames let intelligent backtracking jump over positions that cannot
+// change a failed literal's bindings.
+func (ev *evaluator) run(c *Compiled, rr *ruleRanges, s bindings, frames []frame, i int, emit emitFunc) int {
 	n := len(c.Body)
 	// enter readies position i for a fresh activation. A backjump leaves the
 	// frames it skipped as they were, so leaving a frame cannot be relied on
@@ -356,7 +360,6 @@ func (ev *evaluator) run(c *Compiled, rr *ruleRanges, s bindings, frames []frame
 			frames[i].iter, frames[i].done = nil, false
 		}
 	}
-	enter(0)
 
 	// backtrack moves control left from a failed position. Backjumping to
 	// the precomputed point is only sound when the activation produced no
@@ -371,7 +374,7 @@ func (ev *evaluator) run(c *Compiled, rr *ruleRanges, s bindings, frames []frame
 		return from - 1
 	}
 
-	for i := 0; i >= 0; {
+	for i >= 0 {
 		if i == n {
 			ev.Derivations++
 			// A completed derivation resumes chronologically (every
@@ -386,7 +389,7 @@ func (ev *evaluator) run(c *Compiled, rr *ruleRanges, s bindings, frames []frame
 				ev.capture(c, head, env)
 			}
 			if !emit(head) {
-				return
+				return i
 			}
 			continue
 		}
@@ -436,6 +439,7 @@ func (ev *evaluator) run(c *Compiled, rr *ruleRanges, s bindings, frames []frame
 		fr.iter = nil
 		i = backtrack(i, fr.any)
 	}
+	return -1
 }
 
 // sourceOf resolves the relation of the item in frame fr — once per

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"coral/internal/ast"
+	"coral/internal/relation"
 	"coral/internal/term"
 )
 
@@ -56,8 +57,8 @@ func (s RunStats) add(o RunStats) RunStats {
 }
 
 // MeasureCall evaluates pred(args) to completion and reports statistics.
-// Materialized modules report full engine counters; pipelined modules
-// report answer counts only (they store nothing, which is the point).
+// Materialized and pipelined modules report the same engine counters
+// (pipelined ones store nothing, which is the point).
 func (sys *System) MeasureCall(pred ast.PredKey, args []term.Term) (RunStats, error) {
 	def, ok := sys.Export(pred)
 	if !ok {
@@ -70,13 +71,17 @@ func (sys *System) MeasureCall(pred ast.PredKey, args []term.Term) (RunStats, er
 	var stats RunStats
 	err = drainCounting(it, &stats)
 	// Fill the engine counters even when the drain aborted: the partial
-	// stats are exactly what AbortError reports, and callers measuring a
-	// budgeted run want them either way.
-	if scan, isMat := it.(*answerScan); isMat {
-		answers := stats.Answers
-		stats = scan.me.counters()
-		stats.Answers = answers
+	// stats are exactly what AbortError reports (a pipelined call's abort is
+	// given them here), and callers measuring a budgeted run want them.
+	answers := stats.Answers
+	switch scan := it.(type) {
+	case *answerScan:
+		stats = scan.me.runStats()
+	case *pipeGoal:
+		stats = scan.pc.runStats()
 	}
+	stats.Answers = answers
+	noteAbortStats(err, stats)
 	return stats, err
 }
 
@@ -97,7 +102,7 @@ func (sys *System) MeasureFirstAnswer(pred ast.PredKey, args []term.Term) (time.
 	return time.Since(start), err
 }
 
-func firstCounting(it relationIterator, stats *RunStats) (err error) {
+func firstCounting(it relation.Iterator, stats *RunStats) (err error) {
 	defer recoverEval(&err)
 	if _, ok := it.Next(); ok {
 		stats.Answers = 1
@@ -105,7 +110,7 @@ func firstCounting(it relationIterator, stats *RunStats) (err error) {
 	return nil
 }
 
-func drainCounting(it relationIterator, stats *RunStats) (err error) {
+func drainCounting(it relation.Iterator, stats *RunStats) (err error) {
 	defer recoverEval(&err)
 	// lint:allow scanloop — measurement driver above the evaluation: the
 	// iterator it drains performs its own budget polling.
@@ -117,9 +122,6 @@ func drainCounting(it relationIterator, stats *RunStats) (err error) {
 		stats.Answers++
 	}
 }
-
-// relationIterator avoids an import cycle in the signature above.
-type relationIterator interface{ Next() (Fact, bool) }
 
 func errUnknownExport(pred ast.PredKey) error {
 	return &unknownExportError{pred}

@@ -401,10 +401,8 @@ func buildProgram(mod *ast.Module, query ast.PredKey, adorn string, mask []bool,
 		for _, group := range [][]*Compiled{st.ExitRules, st.RecRules, st.AggRules} {
 			for _, c := range group {
 				for i := range c.Body {
-					if c.Body[i].Kind != ItemBuiltin {
-						if _, isUpdate := updatePred(c.Body[i].Pred); isUpdate {
-							return nil, fmt.Errorf("engine: module %s uses %s, which requires @pipelining (§5.2)", mod.Name, c.Body[i].Pred)
-						}
+					if c.Body[i].Kind != ItemBuiltin && isUpdate(c.Body[i].Pred) {
+						return nil, fmt.Errorf("engine: module %s uses %s, which requires @pipelining (§5.2)", mod.Name, c.Body[i].Pred)
 					}
 				}
 			}

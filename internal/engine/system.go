@@ -151,7 +151,7 @@ type ModuleDef struct {
 	savedMu sync.Mutex
 	saved   map[string]*matEval // guarded_by(savedMu); save-module state, by adornment
 
-	pipe *pipeProgram // unguarded: immutable after install; pipelined modules
+	pipe pipeProgram // unguarded: immutable after install; pipelined modules
 
 	// staticEst caches the module's compile-time cardinality estimate over
 	// its source rules — the price tag callers' planners put on this
@@ -370,10 +370,10 @@ type callCfg struct {
 	// anything shared (no index creation on shared relations, no
 	// assert/retract, no saved save-module state).
 	sharedRO bool
-	// onEval observes each private materialized evaluation the call sets
-	// up; the caller reads its counters once the scan is drained
-	// (per-query statistics).
-	onEval func(*matEval)
+	// onEval observes each private evaluation the call sets up — a
+	// materialized one or a pipelined call; the caller reads its counters
+	// once the scan is drained (per-query statistics).
+	onEval func(counted)
 }
 
 // defaultCfg is the single-caller configuration: live sources, the
@@ -396,7 +396,7 @@ func (def *ModuleDef) callWith(cfg callCfg, pred ast.PredKey, args []term.Term, 
 	// trip during seeding or an eager run surfaces as the call's error.
 	defer recoverEval(&err)
 	if def.pipe != nil {
-		return def.pipe.call(def.sys, cfg, pred, args, env)
+		return def.callPipelined(cfg, pred, args, env)
 	}
 	form, err := def.selectForm(pred, args, env)
 	if err != nil {
@@ -433,8 +433,9 @@ func (def *ModuleDef) callWith(cfg callCfg, pred ast.PredKey, args []term.Term, 
 // serialize on savedMu, and save-module computes eagerly — suspending a
 // shared evaluation between calls would interleave two consumers.
 //
-// The state is reused only while every base relation it read is as it was
-// when the last call finished (matEval.inputsMoved): an append can add
+// The state is reused only while every base relation it read, itself or
+// behind the exports it calls, is as it was when the last call finished
+// (matEval.noteInputs, inputsMoved): an append can add
 // answers, and an append to a relation read under "not", or any delete, can
 // take them away. A moved input — or an aborted previous call, which leaves
 // relations missing derivations or holding a torn round — discards the state,
@@ -451,7 +452,8 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 	me.addSeed(args, env)
 	scan := def.newAnswerScan(me, prog, pred, args, env)
 	me.run()
-	me.noteInputs()
+	me.inputs = me.inputs[:0]
+	me.noteInputs(def, make(map[*ModuleDef]bool))
 	if me.err != nil {
 		return nil, me.err
 	}

@@ -186,12 +186,15 @@ func (s *viewCallSource) Snapshot() relation.Mark { return 0 }
 // does not silently depend on that.
 type statsAcc struct {
 	mu    sync.Mutex
-	evals []*matEval // guarded_by(mu)
+	evals []counted // guarded_by(mu)
 }
 
-func (a *statsAcc) collect(me *matEval) {
+// counted is a materialized evaluation (matEval) or a pipelined call.
+type counted interface{ runStats() RunStats }
+
+func (a *statsAcc) collect(e counted) {
 	a.mu.Lock()
-	a.evals = append(a.evals, me)
+	a.evals = append(a.evals, e)
 	a.mu.Unlock()
 }
 
@@ -201,8 +204,8 @@ func (a *statsAcc) total() RunStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var st RunStats
-	for _, me := range a.evals {
-		st = st.add(me.counters())
+	for _, e := range a.evals {
+		st = st.add(e.runStats())
 	}
 	return st
 }
