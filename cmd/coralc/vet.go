@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"coral"
 	"coral/internal/analysis"
-	"coral/internal/analysis/card"
-	"coral/internal/analysis/flow"
 	"coral/internal/engine"
 	"coral/internal/parser"
 )
@@ -51,35 +50,18 @@ func runDisasm(name, src string, w io.Writer) int {
 }
 
 // runAnalyze prints the raw static-analysis reports for every module of
-// one program source: the flow analysis (per derived predicate, the
-// reachable (predicate, adornment) contexts with inferred call bindings,
-// fact groundness, and type/shape summaries) followed by the cardinality &
-// termination analysis (row and domain bounds, termination verdicts, the
-// static fixpoint round bound). It returns the exit code (2 on a parse
-// error).
+// one program source (coral.System.Analyze): the flow analysis (per derived
+// predicate, the reachable (predicate, adornment) contexts with inferred
+// call bindings, fact groundness, and type/shape summaries) followed by the
+// cardinality & termination analysis (row and domain bounds, termination
+// verdicts, the static fixpoint round bound). It returns the exit code (2 on
+// a parse error).
 func runAnalyze(name, src string, w io.Writer) int {
-	u, err := parser.Parse(src)
+	out, err := coral.New().Analyze(src)
 	if err != nil {
 		fmt.Fprintf(w, "%s: %v\n", name, err)
 		return 2
 	}
-	if len(u.Modules) == 0 {
-		fmt.Fprintf(w, "%s: no modules in input\n", name)
-		return 2
-	}
-	for i, m := range u.Modules {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		res := flow.Analyze(m, flow.Options{NegFree: !m.Ann.OrderedSearch})
-		fmt.Fprint(w, res.Report())
-		fmt.Fprintln(w)
-		selected := make(map[string]bool, len(m.Ann.AggSels))
-		for _, sel := range m.Ann.AggSels {
-			selected[sel.Pred] = true
-		}
-		cres := card.Analyze(m, card.Options{NegFree: !m.Ann.OrderedSearch, AggSelected: selected})
-		fmt.Fprint(w, cres.Report())
-	}
+	fmt.Fprint(w, out)
 	return 0
 }

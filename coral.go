@@ -112,7 +112,7 @@ func (s *System) Consult(src string) ([]*Answers, error) {
 	}
 	var results []*Answers
 	for _, q := range u.Queries {
-		ans, err := s.runQuery(q)
+		ans, err := s.runQuery(q.String(), q)
 		if err != nil {
 			return results, err
 		}
@@ -140,33 +140,10 @@ func (s *System) applyIndex(ix ast.IndexAnn) error {
 	if err != nil {
 		return err
 	}
-	if pos, ok := argFormIndex(ix); ok {
+	if pos, ok := ix.ArgPositions(); ok {
 		return rel.MakeIndex(pos...)
 	}
 	return rel.MakePatternIndex(ix.Pattern, ix.KeyVars)
-}
-
-func argFormIndex(ix ast.IndexAnn) ([]int, bool) {
-	byName := map[string]int{}
-	for i, t := range ix.Pattern {
-		v, ok := t.(*term.Var)
-		if !ok {
-			return nil, false
-		}
-		if _, dup := byName[v.Name]; dup {
-			return nil, false
-		}
-		byName[v.Name] = i
-	}
-	var pos []int
-	for _, k := range ix.KeyVars {
-		i, ok := byName[k]
-		if !ok {
-			return nil, false
-		}
-		pos = append(pos, i)
-	}
-	return pos, true
 }
 
 // Answers holds a query's results: the named variables of the query and
@@ -178,9 +155,20 @@ type Answers struct {
 	Vars []string
 	// Tuples are the answers, one binding list per answer.
 	Tuples []Tuple
-	// Stats reports what the evaluation did (filled by Session.Query;
-	// zero for queries evaluated directly on the System).
+	// Stats reports what the evaluation did: the query's own rule plus the
+	// module evaluations it set up, on the System and through a Session
+	// alike (a save-module call on the System resumes shared state, which
+	// is not counted).
 	Stats RunStats
+}
+
+// newAnswers builds the result of an evaluated query.
+func newAnswers(query string, vars []string, facts []relation.Fact, stats RunStats) *Answers {
+	ans := &Answers{Query: query, Vars: vars, Stats: stats}
+	for _, f := range facts {
+		ans.Tuples = append(ans.Tuples, Tuple(f.Args))
+	}
+	return ans
 }
 
 // Query parses and evaluates a conjunctive query against base relations
@@ -190,24 +178,16 @@ func (s *System) Query(q string) (*Answers, error) {
 	if err != nil {
 		return nil, err
 	}
-	ans, err := s.runQuery(pq)
-	if err != nil {
-		return nil, err
-	}
-	ans.Query = q
-	return ans, nil
+	return s.runQuery(q, pq)
 }
 
-func (s *System) runQuery(q ast.Query) (*Answers, error) {
-	vars, facts, err := s.eng.Query(q.Body)
+// runQuery evaluates a parsed query through the engine System's writer view.
+func (s *System) runQuery(text string, q ast.Query) (*Answers, error) {
+	vars, facts, stats, err := s.eng.Query(q.Body)
 	if err != nil {
 		return nil, err
 	}
-	ans := &Answers{Query: q.String(), Vars: vars}
-	for _, f := range facts {
-		ans.Tuples = append(ans.Tuples, Tuple(f.Args))
-	}
-	return ans, nil
+	return newAnswers(text, vars, facts, stats), nil
 }
 
 // Call opens a get-next-tuple scan on an exported predicate or base

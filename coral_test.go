@@ -2,6 +2,7 @@ package coral
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"os"
@@ -9,7 +10,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"coral/internal/engine"
 	"coral/internal/term"
 )
 
@@ -686,5 +689,92 @@ func TestSaveModuleSeesCrossModuleAppends(t *testing.T) {
 	}
 	if got, want := strings.Join(answersOf(t, sys, "tc(0, Y)"), " "), "(1) (2) (3)"; got != want {
 		t.Errorf("tc(0, Y) after consulting edge(2, 3): %s, want %s", got, want)
+	}
+}
+
+// TestExplainHonoursBudgetAndContext: Explain evaluates under the System's
+// budget and context like Query does, so explaining a goal of a
+// non-terminating program aborts instead of running on. The call runs on a
+// goroutine behind a 5 s timer: a regression fails the test, not hangs it.
+func TestExplainHonoursBudgetAndContext(t *testing.T) {
+	const src = `
+module m.
+export nat(f).
+nat(0).
+nat(s(N)) :- nat(N).
+end_module.
+`
+	explain := func(t *testing.T, sys *System) *AbortError {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := sys.Explain("nat(X)")
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var ab *AbortError
+			if !errors.As(err, &ab) {
+				t.Fatalf("Explain(nat(X)) = %v, want an *AbortError", err)
+			}
+			return ab
+		case <-time.After(5 * time.Second):
+			t.Fatal("Explain(nat(X)) still running after 5 s")
+		}
+		return nil
+	}
+	t.Run("budget", func(t *testing.T) {
+		sys := New()
+		if _, err := sys.Consult(src); err != nil {
+			t.Fatal(err)
+		}
+		sys.SetBudget(Budget{MaxIterations: 50})
+		if ab := explain(t, sys); ab.Tripped != engine.AbortIterations {
+			t.Errorf("tripped %q, want %q", ab.Tripped, engine.AbortIterations)
+		}
+	})
+	t.Run("context", func(t *testing.T) {
+		sys := New()
+		if _, err := sys.Consult(src); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		sys.WithContext(ctx)
+		time.AfterFunc(20*time.Millisecond, cancel)
+		if ab := explain(t, sys); !errors.Is(ab, context.Canceled) {
+			t.Errorf("abort %v does not unwrap to context.Canceled", ab)
+		}
+	})
+}
+
+// TestSystemQueryStats: a query on the System reports the same statistics
+// as the same query through a live Session.
+func TestSystemQueryStats(t *testing.T) {
+	sys := New()
+	if _, err := sys.Consult(`
+edge(0, 1). edge(1, 2). edge(2, 3). edge(3, 1).
+module tc.
+export tc(bf, ff).
+tc(X, Y) :- edge(X, Y).
+tc(X, Y) :- edge(X, Z), tc(Z, Y).
+end_module.
+`); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sys.Query("tc(0, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaSession, err := sys.NewSession().Query(context.Background(), "tc(0, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, s := direct.Stats, viaSession.Stats
+	if d.Answers != 3 || d.Derivations == 0 || d.FactsStored == 0 {
+		t.Errorf("System.Query stats %+v: want 3 answers and the module's derivations and facts", d)
+	}
+	if d.Answers != s.Answers || d.Derivations != s.Derivations || d.FactsStored != s.FactsStored {
+		t.Errorf("System.Query stats %+v, Session.Query stats %+v", d, s)
 	}
 }

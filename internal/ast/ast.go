@@ -105,6 +105,31 @@ type IndexAnn struct {
 	KeyVars []string
 }
 
+// ArgPositions reports whether the annotation is the argument form and
+// returns its key positions.
+func (ix IndexAnn) ArgPositions() ([]int, bool) {
+	posByName := map[string]int{}
+	for i, t := range ix.Pattern {
+		v, ok := t.(*term.Var)
+		if !ok {
+			return nil, false
+		}
+		if _, dup := posByName[v.Name]; dup {
+			return nil, false
+		}
+		posByName[v.Name] = i
+	}
+	var pos []int
+	for _, k := range ix.KeyVars {
+		i, ok := posByName[k]
+		if !ok {
+			return nil, false
+		}
+		pos = append(pos, i)
+	}
+	return pos, true
+}
+
 // Rule is one Horn rule. Facts are rules with an empty body. Head
 // aggregation (set-grouping and aggregate operations, e.g.
 // s_p_length(X,Y,min(C))) is normalized by the parser: the aggregated

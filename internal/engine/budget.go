@@ -11,7 +11,8 @@ import (
 // (paper §2): ad-hoc queries over recursive programs may have huge or
 // non-terminating fixpoints, so every evaluation mode — the sequential and
 // parallel semi-naive fixpoints, Ordered Search, and pipelining — runs under
-// an optional budgetGuard threaded from System.Ctx/System.Budget.
+// an optional budgetGuard threaded from the caller's View: a session's
+// Ctx/Budget, or System.Ctx/System.Budget through the System's writer view.
 //
 // Check placement (DESIGN.md §5.11): the context and deadline are checked at
 // every round barrier (matEval.step) and, amortized every budgetCheckEvery
@@ -98,7 +99,7 @@ func (e *AbortError) Unwrap() error { return e.cause }
 // for per-tuple cancellation points.
 var budgetCheckEvery = 256
 
-// budgetGuard is the per-call incarnation of System.Ctx and System.Budget:
+// budgetGuard is the per-call incarnation of a View's Ctx and Budget:
 // the deadline is anchored at call time and the fact counter starts at
 // zero. It is embedded by value in matEval (a pipelined call allocates one
 // only when a bound is in force) — a call without budgets pays no
@@ -115,15 +116,15 @@ type budgetGuard struct {
 	facts       int64 // accessed atomically (shared with parallel workers)
 }
 
-// newGuard captures the system's context and budget for one call.
-func (sys *System) newGuard() budgetGuard {
-	b := sys.Budget
-	g := budgetGuard{ctx: sys.Ctx, maxFacts: int64(b.MaxFacts), maxIters: b.MaxIterations}
+// newGuard captures a caller's context and budget for one call — the one
+// guard constructor; every evaluation takes its caller's view's (see View).
+func newGuard(ctx context.Context, b Budget) budgetGuard {
+	g := budgetGuard{ctx: ctx, maxFacts: int64(b.MaxFacts), maxIters: b.MaxIterations}
 	if b.Timeout > 0 {
 		g.hasDeadline = true
 		g.deadline = time.Now().Add(b.Timeout)
 	}
-	g.on = g.ctx != nil || b.limited()
+	g.on = ctx != nil || b.limited()
 	return g
 }
 

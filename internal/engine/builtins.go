@@ -345,7 +345,7 @@ func (pc *pipeCall) update(op string, arg term.Term, env *term.Env) {
 		throwf("engine: %s expects a predicate term, got %s", op, t)
 	}
 	key, sys := ast.PredKey{Name: f.Sym, Arity: len(f.Args)}, pc.def.sys
-	if pc.cfg.sharedRO { // a server session: other sessions' reads would race
+	if !pc.cfg.v.writer { // a server session: other sessions' reads would race
 		throwf("engine: %s is not available in a read-only evaluation", op)
 	}
 	if _, isModule := sys.Export(key); isModule {

@@ -67,7 +67,7 @@ func queryOrdered(sys *System, q string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, facts, err := sys.Query(query.Body)
+	_, facts, _, err := sys.Query(query.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +309,7 @@ func TestQueryAbortCarriesStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	outer := budgetGuard{on: true, ctx: &countdownCtx{}}
-	_, _, stats, err := evalQuery(q.Body, sys.external, outer, &statsAcc{})
+	_, _, stats, err := evalQuery(q.Body, &callCfg{v: sys.writerView()}, outer)
 	var ab *AbortError
 	if !errors.As(err, &ab) || ab.Tripped != AbortCanceled {
 		t.Fatalf("want a canceled *AbortError, got %v", err)

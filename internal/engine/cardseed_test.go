@@ -61,9 +61,9 @@ func TestIterBoundSound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	me := newMatEval(prog, sys.external)
+	me := newMatEval(prog, liveExternal(sys))
 	def, _ := sys.Module(u.Modules[0].Name)
-	def.configureEval(me, sys.defaultCfg(), prog)
+	def.configureEval(me, &callCfg{v: sys.writerView()}, prog)
 	me.addSeed([]term.Term{term.NewVar("A"), term.NewVar("B")}, nil)
 	bound := me.seed.iterBound()
 	if math.IsInf(bound, 1) {

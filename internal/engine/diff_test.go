@@ -33,12 +33,12 @@ func refExternal(sys *System) func(ast.PredKey) (Source, error) {
 		if def, ok := sys.Export(key); ok {
 			return refModuleSource{def: def, pred: key, ext: ext}, nil
 		}
-		return sys.external(key)
+		return liveExternal(sys)(key)
 	}
 	return ext
 }
 
-// refModuleSource is moduleCallSource over the reference evaluator.
+// refModuleSource is callSource over the reference evaluator.
 type refModuleSource struct {
 	def  *ModuleDef
 	pred ast.PredKey
@@ -64,7 +64,7 @@ func (s refModuleSource) Snapshot() relation.Mark { return 0 }
 
 // refEval sets up the reference evaluation of one call: a bare newMatEval —
 // written order, index lookups, the interpreter, one worker, no static
-// estimates; exactly what ExplainCall builds — over a program compiled
+// estimates: the zero flags of configureEval's reference row — over a program compiled
 // without the flow optimizations. Pipelined modules have no program of
 // their own; their rules are evaluated bottom-up like any other module's.
 func refEval(def *ModuleDef, ext func(ast.PredKey) (Source, error), key ast.PredKey, args []term.Term, env *term.Env) (*matEval, relation.Iterator, error) {

@@ -13,6 +13,12 @@ import (
 	"coral/internal/term"
 )
 
+// liveExternal is the System writer view's source resolver, for tests that
+// set up a bare matEval.
+func liveExternal(sys *System) func(ast.PredKey) (Source, error) {
+	return (&callCfg{v: sys.writerView()}).external
+}
+
 // buildSystem consults source text into a fresh system: modules installed,
 // facts loaded into base relations.
 func buildSystem(t *testing.T, src string) *System {
@@ -62,7 +68,7 @@ func askErr(sys *System, q string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, facts, err := sys.Query(query.Body)
+	_, facts, _, err := sys.Query(query.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -1127,7 +1133,7 @@ end_module.
 `)
 	def, _ := sys.Module("m")
 	prog := def.Programs()["bad/f"]
-	me := newMatEval(prog, sys.external)
+	me := newMatEval(prog, liveExternal(sys))
 	me.addSeed([]term.Term{term.NewVar("Y")}, nil)
 	me.run()
 	if me.Err() == nil {

@@ -54,8 +54,8 @@ type matEval struct {
 	// (cardseed.go). Every method is nil-safe.
 	seed *staticSeeder
 
-	// sharedRO marks an evaluation running concurrently with others over
-	// the same System (callCfg.sharedRO): it must not mutate shared
+	// sharedRO marks an evaluation under a session's read-only view, running
+	// concurrently with others over the same System: it must not mutate shared
 	// structures, so plan-driven index creation is confined to the
 	// evaluation's own derived relations (ensurePlanIndexes).
 	sharedRO bool

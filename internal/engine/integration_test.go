@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"coral/internal/ast"
 	"coral/internal/parser"
 	"coral/internal/relation"
 	"coral/internal/term"
@@ -223,6 +224,16 @@ end_module.
 	got := ask(t, sys, "reach(0, 5000)")
 	if len(got) != 1 {
 		t.Fatalf("deep reach: %v", got)
+	}
+	// The bound edge literals read edge's index on its first argument (the
+	// pipelined module's index requests): a few tuples per level, where a
+	// scan of the whole relation at every level makes ~50 million attempts.
+	st, err := sys.MeasureCall(ast.PredKey{Name: "reach", Arity: 2}, []term.Term{term.Int(0), term.Int(5000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Attempts >= 100000 {
+		t.Errorf("reach(0, 5000) made %d attempts, want < 100,000 (index lookups)", st.Attempts)
 	}
 }
 
@@ -478,7 +489,7 @@ func askFacts(t *testing.T, sys *System, q string) [][]term.Term {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, facts, err := sys.Query(pq.Body)
+	_, facts, _, err := sys.Query(pq.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"coral/internal/analysis/flow"
 	"coral/internal/ast"
 	"coral/internal/relation"
 	"coral/internal/term"
@@ -17,11 +18,16 @@ import (
 
 // pipeProgram holds each predicate's rules in written order. Every body
 // leads with a "$call" literal: matching the goal's call against the head
-// pushes its bound arguments down.
-type pipeProgram map[ast.PredKey][]*Compiled
+// pushes its bound arguments down. indexReqs are the argument-form indexes
+// the rules probe relations outside the module with (addIndexReqs), the
+// module's input to the base-relation index policy (indexBase).
+type pipeProgram struct {
+	rules     map[ast.PredKey][]*Compiled
+	indexReqs map[ast.PredKey][][]int
+}
 
-func buildPipeProgram(m *ast.Module) (pipeProgram, error) {
-	pp := make(pipeProgram)
+func buildPipeProgram(m *ast.Module) (*pipeProgram, error) {
+	pp := &pipeProgram{rules: make(map[ast.PredKey][]*Compiled), indexReqs: make(map[ast.PredKey][][]int)}
 	for _, r := range m.Rules {
 		if len(r.Aggs) > 0 {
 			return nil, fmt.Errorf("engine: module %s: aggregation requires materialized evaluation", m.Name)
@@ -31,9 +37,45 @@ func buildPipeProgram(m *ast.Module) (pipeProgram, error) {
 			return nil, err
 		}
 		c.Body = append([]CItem{{Kind: ItemRel, Pred: ast.PredKey{Name: "$call", Arity: len(c.HeadArgs)}, Args: c.HeadArgs}}, c.Body...)
-		pp[c.HeadPred] = append(pp[c.HeadPred], c)
+		pp.rules[c.HeadPred] = append(pp.rules[c.HeadPred], c)
 	}
 	return pp, nil
+}
+
+// addIndexReqs adds the index requests of one export form: in every
+// context reachable from it under left-to-right sideways information
+// passing (flow.Reach — the walk a materialized program's adornment makes),
+// each rule is compiled behind a literal binding the context's bound head
+// arguments, and a literal over a relation outside the module asks for an
+// index on the positions bound when the written-order goal reaches it.
+// Reach's error for an export the module defines no rules for is the one a
+// materialized module gets from buildProgram.
+func (pp *pipeProgram) addIndexReqs(m *ast.Module, query ast.PredKey, form string) error {
+	rb, err := flow.Reach(m.Rules, query, form, flow.ReachOpts{})
+	if err != nil || m.Ann.NoIndexing {
+		return err
+	}
+	for _, ctx := range rb.Order {
+		for _, rf := range rb.Rules[ctx] {
+			var bound []term.Term
+			for i, a := range rf.Rule.Head.Args {
+				if ctx.Adorn[i] == 'b' {
+					bound = append(bound, a)
+				}
+			}
+			r := &ast.Rule{Head: rf.Rule.Head, Body: append([]ast.Literal{{Pred: "$bound", Args: bound}}, rf.Body...)}
+			c, err := CompileRule(r, func(ast.PredKey) bool { return false })
+			if err != nil {
+				return err
+			}
+			for _, it := range c.Body[1:] {
+				if it.Kind != ItemBuiltin && !rb.Derived[it.Pred] && !isUpdate(it.Pred) {
+					addIndexReq(pp.indexReqs, it.Pred, it.BoundPos)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // pipeCall is one pipelined call: the evaluator its goals share (sources,
@@ -41,22 +83,20 @@ func buildPipeProgram(m *ast.Module) (pipeProgram, error) {
 type pipeCall struct {
 	evaluator
 	def *ModuleDef
-	cfg callCfg
+	cfg *callCfg
 }
 
-func (def *ModuleDef) callPipelined(cfg callCfg, pred ast.PredKey, args []term.Term, env *term.Env) (relation.Iterator, error) {
-	rules, ok := def.pipe[pred]
+func (def *ModuleDef) callPipelined(cfg *callCfg, pred ast.PredKey, args []term.Term, env *term.Env) (relation.Iterator, error) {
+	rules, ok := def.pipe.rules[pred]
 	if !ok {
 		return nil, fmt.Errorf("engine: module %s does not define %s", def.Src.Name, pred)
 	}
 	pc := &pipeCall{def: def, cfg: cfg}
-	if g := cfg.guard(); g.active() {
+	if g := newGuard(cfg.v.Ctx, cfg.v.Budget); g.active() {
 		pc.guard = &g
 	}
 	pc.st = newStore(pc.source, nil)
-	if cfg.onEval != nil {
-		cfg.onEval(pc)
-	}
+	cfg.acc.collect(pc)
 	return &pipeGoal{pc: pc, rules: rules, pos: -1, call: []Fact{relation.NewFact(args, env)}}, nil
 }
 
@@ -70,7 +110,7 @@ func (pc *pipeCall) source(key ast.PredKey) (Source, error) {
 			return relation.SliceIterator([]Fact{relation.NewFact(pat, env)})
 		}), nil
 	}
-	if rules, ok := pc.def.pipe[key]; ok {
+	if rules, ok := pc.def.pipe.rules[key]; ok {
 		return relation.NewComputed(key.Name, key.Arity, func(pat []term.Term, env *term.Env) relation.Iterator {
 			return &pipeGoal{pc: pc, rules: rules, pos: -1, call: []Fact{relation.NewFact(pat, env)}}
 		}), nil

@@ -255,7 +255,7 @@ func streamGoal(sys *System, goal string) string {
 			if err != nil {
 				return err
 			}
-			_, facts, err := sys.Query(q.Body)
+			_, facts, _, err := sys.Query(q.Body)
 			for _, f := range facts {
 				fmt.Fprintln(&b, f)
 			}
@@ -316,5 +316,22 @@ func TestPipelinedStreamsGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("pipelined streams drifted from %s: %d lines, want %d", golden, len(gl), len(wl))
+	}
+}
+
+// TestUndefinedExportRejected: a module exporting a predicate it defines no
+// rules for is rejected at install with one error, whether it is evaluated
+// materialized or pipelined.
+func TestUndefinedExportRejected(t *testing.T) {
+	for _, ann := range []string{"", "@pipelining.\n"} {
+		u, err := parser.Parse("module m.\nexport q(f).\n" + ann + "p(1).\nend_module.\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = NewSystem().AddModule(u.Modules[0])
+		const want = "module m, query form q(f): rewrite: query predicate q/1 is not defined by the module"
+		if err == nil || err.Error() != want {
+			t.Errorf("%q: AddModule error %v, want %q", ann, err, want)
+		}
 	}
 }

@@ -36,7 +36,7 @@ func plannedRule(t *testing.T, src, form, head string, delta int) (*Compiled, *C
 	if !ok {
 		t.Fatalf("no program for %s (have %v)", form, def.Programs())
 	}
-	me := newMatEval(prog, sys.external)
+	me := newMatEval(prog, liveExternal(sys))
 	me.planning = true // the planner alone, live statistics only
 	for _, st := range prog.Strata {
 		rules := append([]*Compiled{}, st.ExitRules...)

@@ -9,7 +9,6 @@ import (
 	"coral/internal/ast"
 	"coral/internal/relation"
 	"coral/internal/rewrite"
-	"coral/internal/term"
 )
 
 // Program is the compiled, optimized form of one (module, query form) pair
@@ -542,17 +541,6 @@ func (p *Program) planIndexes() {
 	if p.Ann.NoIndexing {
 		return
 	}
-	add := func(pred ast.PredKey, pos []int) {
-		if len(pos) == 0 {
-			return
-		}
-		for _, existing := range p.IndexReqs[pred] {
-			if samePos(existing, pos) {
-				return
-			}
-		}
-		p.IndexReqs[pred] = append(p.IndexReqs[pred], pos)
-	}
 	for _, st := range p.Strata {
 		for _, group := range [][]*Compiled{st.ExitRules, st.RecRules, st.AggRules} {
 			for _, c := range group {
@@ -561,11 +549,25 @@ func (p *Program) planIndexes() {
 					if it.Kind == ItemBuiltin {
 						continue
 					}
-					add(it.Pred, it.BoundPos)
+					addIndexReq(p.IndexReqs, it.Pred, it.BoundPos)
 				}
 			}
 		}
 	}
+}
+
+// addIndexReq adds an index request on pos to reqs unless it is empty or
+// already there.
+func addIndexReq(reqs map[ast.PredKey][][]int, pred ast.PredKey, pos []int) {
+	if len(pos) == 0 {
+		return
+	}
+	for _, existing := range reqs[pred] {
+		if samePos(existing, pos) {
+			return
+		}
+	}
+	reqs[pred] = append(reqs[pred], pos)
 }
 
 func samePos(a, b []int) bool {
@@ -605,38 +607,12 @@ func (p *Program) configureRelation(key ast.PredKey, rel *relation.HashRelation)
 		if ann.Pred != orig || len(ann.Pattern) != key.Arity {
 			continue
 		}
-		if argPos, ok := argFormIndex(ann); ok {
+		if argPos, ok := ann.ArgPositions(); ok {
 			_ = rel.MakeIndex(argPos...)
 		} else {
 			_ = rel.MakePatternIndex(ann.Pattern, ann.KeyVars)
 		}
 	}
-}
-
-// argFormIndex reports whether a @make_index annotation is the simple
-// argument form (pattern arguments are distinct top-level variables) and
-// returns the key positions.
-func argFormIndex(ann ast.IndexAnn) ([]int, bool) {
-	posByName := map[string]int{}
-	for i, t := range ann.Pattern {
-		v, ok := t.(*term.Var)
-		if !ok {
-			return nil, false
-		}
-		if _, dup := posByName[v.Name]; dup {
-			return nil, false
-		}
-		posByName[v.Name] = i
-	}
-	var pos []int
-	for _, k := range ann.KeyVars {
-		i, ok := posByName[k]
-		if !ok {
-			return nil, false
-		}
-		pos = append(pos, i)
-	}
-	return pos, true
 }
 
 // renderRules produces the rewritten-program text (paper §2: "stored as a

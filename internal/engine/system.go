@@ -148,10 +148,11 @@ type ModuleDef struct {
 	// savedMu serializes save-module calls: the saved matEval is shared
 	// accumulated state (paper §5.4.2 — one evaluation serves every caller
 	// that may write), so concurrent calls take turns.
-	savedMu sync.Mutex
-	saved   map[string]*matEval // guarded_by(savedMu); save-module state, by adornment
+	savedMu   sync.Mutex
+	saved     map[string]*matEval // guarded_by(savedMu); save-module state, by adornment
+	savedView View                // guarded_by(savedMu); the writer view of the running saved call
 
-	pipe pipeProgram // unguarded: immutable after install; pipelined modules
+	pipe *pipeProgram // unguarded: immutable after install; pipelined modules
 
 	// staticEst caches the module's compile-time cardinality estimate over
 	// its source rules — the price tag callers' planners put on this
@@ -194,16 +195,18 @@ func (sys *System) AddModule(m *ast.Module) error {
 		if _, dup := sys.base[key]; dup {
 			return fmt.Errorf("engine: %s already defined as a base relation", key)
 		}
-		if !m.Ann.Pipelining {
-			for _, form := range e.Forms {
-				if _, ok := def.progs[formKey(e.Pred, form)]; ok {
-					continue
-				}
-				prog, err := buildProgram(m, key, form, nil, true)
-				if err != nil {
-					return fmt.Errorf("module %s, query form %s(%s): %w", m.Name, e.Pred, form, err)
-				}
-				def.progs[formKey(e.Pred, form)] = prog
+		// A materialized module gets a program per form, a pipelined one
+		// the form's index requests.
+		for _, form := range e.Forms {
+			var err error
+			switch k := formKey(e.Pred, form); {
+			case def.pipe != nil:
+				err = def.pipe.addIndexReqs(m, key, form)
+			case def.progs[k] == nil:
+				def.progs[k], err = buildProgram(m, key, form, nil, true)
+			}
+			if err != nil {
+				return fmt.Errorf("module %s, query form %s(%s): %w", m.Name, e.Pred, form, err)
 			}
 		}
 	}
@@ -216,17 +219,32 @@ func (sys *System) AddModule(m *ast.Module) error {
 }
 
 // indexBase is the index policy for base relations: every hash relation in
-// base that a program of the module reads gets the argument-form indexes the
-// program's rules probe it with in written order (Program.IndexReqs, paper
-// §3.3, §5.3). The planner adds the indexes a reordered schedule probes when
-// it fits one (ensurePlanIndexes), on the relations the evaluation may
-// write. Callers hold sys.mu for writing — AddModule for the relations that
-// exist when a module is installed, BaseRelation for one created later — so
-// no evaluation reads a relation while its indexes are built, and a
-// read-only snapshot session finds them already there. Programs are visited
-// in form order, so a relation's indexes, and the one a lookup picks among
-// equally wide candidates, do not depend on map order.
+// base that the module reads gets the argument-form indexes its rules probe
+// it with in written order — each program's Program.IndexReqs (paper §3.3,
+// §5.3), or a pipelined module's pipeProgram.indexReqs. The planner adds the
+// indexes a reordered schedule probes when it fits one (ensurePlanIndexes),
+// on the relations the evaluation may write. Callers hold sys.mu for writing
+// — AddModule for the relations that exist when a module is installed,
+// BaseRelation for one created later — so no evaluation reads a relation
+// while its indexes are built, and a read-only snapshot session finds them
+// already there. Programs are visited in form order, so a relation's
+// indexes, and the one a lookup picks among equally wide candidates, do not
+// depend on map order.
 func (def *ModuleDef) indexBase(base map[ast.PredKey]relation.Relation) {
+	apply := func(reqs map[ast.PredKey][][]int, local map[ast.PredKey]bool) {
+		for key, rs := range reqs {
+			hr, ok := base[key].(*relation.HashRelation)
+			if !ok || local[key] {
+				continue
+			}
+			for _, pos := range rs {
+				_ = hr.MakeIndex(pos...) // compiled argument positions: always in range
+			}
+		}
+	}
+	if def.pipe != nil {
+		apply(def.pipe.indexReqs, nil)
+	}
 	progs := def.Programs()
 	forms := make([]string, 0, len(progs))
 	for form := range progs {
@@ -234,16 +252,7 @@ func (def *ModuleDef) indexBase(base map[ast.PredKey]relation.Relation) {
 	}
 	sort.Strings(forms)
 	for _, form := range forms {
-		prog := progs[form]
-		for key, reqs := range prog.IndexReqs {
-			hr, ok := base[key].(*relation.HashRelation)
-			if !ok || prog.LocalPreds[key] {
-				continue
-			}
-			for _, pos := range reqs {
-				_ = hr.MakeIndex(pos...) // compiled argument positions: always in range
-			}
-		}
+		apply(progs[form].IndexReqs, progs[form].LocalPreds)
 	}
 }
 
@@ -285,32 +294,6 @@ func (sys *System) fixpointWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// external builds the source resolver for module evaluation: base
-// relations, then other modules' exports (an inter-module call per lookup,
-// paper §5.6), then auto-defined empty base relations.
-func (sys *System) external(key ast.PredKey) (Source, error) {
-	sys.mu.RLock()
-	r, isBase := sys.base[key]
-	def, isExport := sys.exports[key]
-	sys.mu.RUnlock()
-	if isBase {
-		return relSource{r}, nil
-	}
-	if isExport {
-		return &moduleCallSource{def: def, pred: key}, nil
-	}
-	if sys.AutoDefineBase {
-		// BaseRelation retakes the lock in write mode; two concurrent
-		// auto-defines of the same predicate converge on one relation.
-		r, err := sys.BaseRelation(key.Name, key.Arity)
-		if err != nil {
-			return nil, err
-		}
-		return relSource{r}, nil
-	}
-	return nil, fmt.Errorf("engine: unknown predicate %s", key)
-}
-
 // relSource adapts relation.Relation to Source.
 type relSource struct{ r relation.Relation }
 
@@ -324,74 +307,18 @@ func (s relSource) LookupRange(pattern []term.Term, env *term.Env, from, to rela
 
 func (s relSource) Snapshot() relation.Mark { return s.r.Snapshot() }
 
-// moduleCallSource calls another module through the get-next-tuple
-// interface: every Lookup sets up one call (one subquery), whose answers
-// stream back as the caller's join demands them. The calling module waits;
-// the called module's evaluation strategy is invisible (paper §5.6).
-type moduleCallSource struct {
-	def  *ModuleDef
-	pred ast.PredKey
-}
-
-func (s *moduleCallSource) Lookup(pattern []term.Term, env *term.Env) relation.Iterator {
-	it, err := s.def.Call(s.pred, pattern, env)
-	if err != nil {
-		// Re-throw the error value itself (not a reformatted copy) so a
-		// typed *AbortError from the callee survives to the caller's
-		// evaluation boundary.
-		Throw(err)
-	}
-	return it
-}
-
-func (s *moduleCallSource) LookupRange(pattern []term.Term, env *term.Env, from, to relation.Mark) relation.Iterator {
-	// A module call has no insertion history; it behaves like a computed
-	// relation: full extent on the initial range, nothing afterwards.
-	if from == 0 {
-		return s.Lookup(pattern, env)
-	}
-	return relation.EmptyIterator()
-}
-
-func (s *moduleCallSource) Snapshot() relation.Mark { return 0 }
-
-// callCfg carries the per-caller evaluation context of a module call: how
-// to resolve sources outside the evaluation, how to build the budget guard,
-// and whether the evaluation runs concurrently with others over the same
-// System. The system's own calls use defaultCfg (live sources, the system's
-// context and budget); a View substitutes snapshot-capped sources and its
-// own connection-scoped guard.
-type callCfg struct {
-	// external resolves body predicates outside the evaluation.
-	external func(ast.PredKey) (Source, error)
-	// guard builds the per-call budget guard.
-	guard func() budgetGuard
-	// sharedRO marks a concurrent read-only evaluation: it must not mutate
-	// anything shared (no index creation on shared relations, no
-	// assert/retract, no saved save-module state).
-	sharedRO bool
-	// onEval observes each private evaluation the call sets up — a
-	// materialized one or a pipelined call; the caller reads its counters
-	// once the scan is drained (per-query statistics).
-	onEval func(counted)
-}
-
-// defaultCfg is the single-caller configuration: live sources, the
-// system-level context and budget.
-func (sys *System) defaultCfg() callCfg {
-	return callCfg{external: sys.external, guard: sys.newGuard}
-}
-
 // Call evaluates a query against an exported predicate. The argument
 // pattern (under env) supplies the bindings; the best matching declared
 // query form is chosen. Answers stream through the returned iterator;
-// callers unify each fact against their pattern.
+// callers unify each fact against their pattern. The call runs under the
+// System's writer view.
 func (def *ModuleDef) Call(pred ast.PredKey, args []term.Term, env *term.Env) (relation.Iterator, error) {
-	return def.callWith(def.sys.defaultCfg(), pred, args, env)
+	return def.callWith(&callCfg{v: def.sys.writerView()}, pred, args, env)
 }
 
-// callWith is Call under an explicit caller configuration (see callCfg).
-func (def *ModuleDef) callWith(cfg callCfg, pred ast.PredKey, args []term.Term, env *term.Env) (it relation.Iterator, err error) {
+// callWith is Call under an explicit caller configuration (see callCfg):
+// the one setup every evaluation of a module goes through.
+func (def *ModuleDef) callWith(cfg *callCfg, pred ast.PredKey, args []term.Term, env *term.Env) (it relation.Iterator, err error) {
 	// Budget aborts travel the panic channel (Throw); recover here so a
 	// trip during seeding or an eager run surfaces as the call's error.
 	defer recoverEval(&err)
@@ -402,18 +329,16 @@ func (def *ModuleDef) callWith(cfg callCfg, pred ast.PredKey, args []term.Term, 
 	if err != nil {
 		return nil, err
 	}
-	prog, err := def.progForCall(pred, form, args, env)
+	prog, err := def.progForCall(pred, form, args, env, cfg.trace == nil)
 	if err != nil {
 		return nil, err
 	}
-	if prog.SaveModule && !cfg.sharedRO {
+	if prog.SaveModule && cfg.v.writer && cfg.trace == nil {
 		return def.callSaved(cfg, prog, pred, form, args, env)
 	}
 	me := newMatEval(prog, cfg.external)
 	def.configureEval(me, cfg, prog)
-	if cfg.onEval != nil {
-		cfg.onEval(me)
-	}
+	cfg.acc.collect(me)
 	me.addSeed(args, env)
 	scan := def.newAnswerScan(me, prog, pred, args, env)
 	if prog.Eager {
@@ -425,13 +350,18 @@ func (def *ModuleDef) callWith(cfg callCfg, pred ast.PredKey, args []term.Term, 
 	return scan, nil
 }
 
-// callSaved is the save-module arm of callWith, for callers that may write.
-// A shared read-only caller evaluates privately instead, like a call to any
+// callSaved is the save-module arm of callWith, for the writer view. A
+// session's read-only view evaluates privately instead, like a call to any
 // other module: a snapshot session must neither read state derived from
 // facts past its marks nor advance shared state to marks later callers
-// cannot see. The saved matEval is shared accumulated state, so calls
-// serialize on savedMu, and save-module computes eagerly — suspending a
-// shared evaluation between calls would interleave two consumers.
+// cannot see (a traced call too: its justifications start with the call).
+// The saved matEval is shared accumulated state, so calls serialize on
+// savedMu, and save-module computes eagerly — suspending a shared
+// evaluation between calls would interleave two consumers. The state
+// outlives the call, so it resolves its sources through the System's writer
+// view, never through one call's accumulator: savedView, refreshed from each
+// call's view, is what the module-call sources cached in the state's plans
+// read their context and budget from at every lookup.
 //
 // The state is reused only while every base relation it read, itself or
 // behind the exports it calls, is as it was when the last call finished
@@ -440,12 +370,13 @@ func (def *ModuleDef) callWith(cfg callCfg, pred ast.PredKey, args []term.Term, 
 // take them away. A moved input — or an aborted previous call, which leaves
 // relations missing derivations or holding a torn round — discards the state,
 // and a fresh evaluation replaces it.
-func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, form string, args []term.Term, env *term.Env) (relation.Iterator, error) {
+func (def *ModuleDef) callSaved(cfg *callCfg, prog *Program, pred ast.PredKey, form string, args []term.Term, env *term.Env) (relation.Iterator, error) {
 	def.savedMu.Lock()
 	defer def.savedMu.Unlock()
+	def.savedView = *cfg.v
 	me := def.saved[formKey(pred.Name, form)]
 	if me == nil || me.err != nil || me.inputsMoved() {
-		me = newMatEval(prog, def.sys.external)
+		me = newMatEval(prog, (&callCfg{v: &def.savedView}).external)
 		def.saved[formKey(pred.Name, form)] = me
 	}
 	def.configureEval(me, cfg, prog)
@@ -468,8 +399,8 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 //	observed                                  path
 //	----------------------------------------  ---------------------------------
 //	Ordered Search context, or tracing        reference: written order, index
-//	  (ExplainCall builds its evaluation        lookups, environment store, one
-//	  bare and never comes here)                worker — magic-fact attribution
+//	  (ExplainCall's callCfg.trace)             lookups, environment store, one
+//	                                            worker — magic-fact attribution
 //	                                            and justifications read the
 //	                                            written rule and live envs
 //	otherwise                                 planned order per rule version
@@ -490,7 +421,7 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 //	  chunks (2 × parMinChunk rows), stratum    that round; any other round
 //	  over hash relations, no aggregate         inline on the caller
 //	  selections in the program                 (workersFor)
-//	concurrent read-only caller (sharedRO)    plan indexes only on the
+//	a session's read-only view (sharedRO)     plan indexes only on the
 //	                                            evaluation's own relations
 //	                                            (base relations carry the
 //	                                            written-order ones, indexBase)
@@ -500,7 +431,8 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 // relation is read from the relation's index through the join position's
 // index cursor (evaluator.lookup). The zero-valued flags of a bare
 // newMatEval are the reference row.
-func (def *ModuleDef) configureEval(me *matEval, cfg callCfg, prog *Program) {
+func (def *ModuleDef) configureEval(me *matEval, cfg *callCfg, prog *Program) {
+	me.ev.trace = cfg.trace
 	reference := me.ctx != nil || me.ev.trace != nil
 	me.planning = !reference
 	me.ev.bytecode = !reference
@@ -509,45 +441,8 @@ func (def *ModuleDef) configureEval(me *matEval, cfg callCfg, prog *Program) {
 		me.parallelism = def.sys.fixpointWorkers()
 	}
 	me.seed = &staticSeeder{sys: def.sys, prog: prog}
-	me.sharedRO = cfg.sharedRO
-	me.setGuard(cfg.guard())
-}
-
-// evalQuery is configureEval's counterpart for a top-level conjunctive query
-// (System.Query, View.Query): one untraced, one-shot rule over external
-// sources, bound in the register file when the rule is in the compiled
-// fragment. Answers are deduplicated and bind the query's distinct named
-// variables in order of first occurrence. stats is the rule's own work plus
-// that of the evaluations acc collected, and an
-// abort that crosses this boundary without partial RunStats — the rule's own
-// poll noticing the deadline before any module call's round barrier does —
-// is given them.
-func evalQuery(body []ast.Literal, external func(ast.PredKey) (Source, error), guard budgetGuard, acc *statsAcc) (vars []string, facts []Fact, stats RunStats, err error) {
-	vars, headArgs := queryAnswerVars(body)
-	rule := &ast.Rule{
-		Head: ast.Literal{Pred: "$query", Args: headArgs},
-		Body: body,
-	}
-	c, err := CompileRule(rule, func(ast.PredKey) bool { return false })
-	if err != nil {
-		return nil, nil, RunStats{}, err
-	}
-	ev := &evaluator{evalConfig: evalConfig{st: newStore(external, nil), IntelligentBacktracking: true, bytecode: true}}
-	if guard.active() {
-		ev.guard = &guard
-	}
-	dedup := relation.NewHashRelation("$query", len(headArgs))
-	err = ev.evalRule(c, &fullRanges, func(f Fact) bool {
-		if dedup.Insert(f) {
-			guard.noteFact()
-			facts = append(facts, f)
-		}
-		return true
-	})
-	stats = ev.runStats().add(acc.total())
-	stats.Answers = len(facts)
-	noteAbortStats(err, stats)
-	return vars, facts, stats, err
+	me.sharedRO = !cfg.v.writer
+	me.setGuard(newGuard(cfg.v.Ctx, cfg.v.Budget))
 }
 
 // newAnswerScan builds the answer iterator for one call, projecting the
@@ -568,15 +463,16 @@ func (def *ModuleDef) newAnswerScan(me *matEval, prog *Program, pred ast.PredKey
 }
 
 // progForCall returns the compiled program for a call: the plain program
-// for the selected form, or — when the call leaves some positions
-// unobserved (anonymous variables) and the module allows it — a variant
-// with existential query rewriting applied (paper §4.1, on by default,
-// disabled by @no_existential). Variants are compiled once and cached.
-func (def *ModuleDef) progForCall(pred ast.PredKey, form string, args []term.Term, env *term.Env) (*Program, error) {
+// for the selected form, or — when project is set, the call leaves some
+// positions unobserved (anonymous variables) and the module allows it — a
+// variant with existential query rewriting applied (paper §4.1, on by
+// default, disabled by @no_existential). Variants are compiled once and
+// cached. A traced call does not project: it explains the written program.
+func (def *ModuleDef) progForCall(pred ast.PredKey, form string, args []term.Term, env *term.Env, project bool) (*Program, error) {
 	def.mu.Lock()
 	base := def.progs[formKey(pred.Name, form)]
 	def.mu.Unlock()
-	if def.Src.Ann.NoExistential || def.Src.Ann.SaveModule || def.Src.Ann.Rewriting == "none" || def.Src.Ann.Rewriting == "factoring" {
+	if !project || def.Src.Ann.NoExistential || def.Src.Ann.SaveModule || def.Src.Ann.Rewriting == "none" || def.Src.Ann.Rewriting == "factoring" {
 		return base, nil
 	}
 	mask := make([]bool, len(args))
@@ -774,14 +670,7 @@ func (s *answerScan) Next() (Fact, bool) {
 }
 
 // Query evaluates a top-level conjunctive query against base relations and
-// module exports (paper §2: simple queries are typed at the interface and
-// not optimized). All answers are materialized; the returned facts bind the
-// query's distinct variables in order of first occurrence.
-func (sys *System) Query(body []ast.Literal) (vars []string, facts []Fact, err error) {
-	defer recoverEval(&err)
-	vars, facts, _, err = evalQuery(body, sys.external, sys.newGuard(), &statsAcc{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return vars, facts, nil
+// module exports through the System's writer view (View.Query).
+func (sys *System) Query(body []ast.Literal) (vars []string, facts []Fact, stats RunStats, err error) {
+	return sys.writerView().Query(body)
 }

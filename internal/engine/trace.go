@@ -14,7 +14,8 @@ import (
 // fact was derived. This reproduction records, for each derived fact, the
 // first rule instantiation that produced it, and renders proof trees on
 // demand. Tracing covers materialized evaluation (where facts persist to
-// point at); enable it per call through ModuleDef.ExplainCall.
+// point at); enable it per call through ModuleDef.ExplainCall, which sets
+// callCfg.trace.
 
 // TraceLog records one justification per derived fact.
 type TraceLog struct {
@@ -150,49 +151,36 @@ func (tl *TraceLog) render(b *strings.Builder, pred ast.PredKey, f Fact, indent 
 	}
 }
 
-// ExplainCall evaluates pred(args) with derivation tracing and renders a
-// proof for every answer. The module must be materialized.
-func (def *ModuleDef) ExplainCall(pred ast.PredKey, args []term.Term) (string, error) {
+// ExplainCall evaluates pred(args) with derivation tracing under the
+// System's writer view — its context and budget — and renders a proof for
+// every answer. The module must be materialized.
+func (def *ModuleDef) ExplainCall(pred ast.PredKey, args []term.Term) (out string, err error) {
 	if def.pipe != nil {
 		return "", fmt.Errorf("engine: explanation requires materialized evaluation (module %s is pipelined)", def.Src.Name)
 	}
-	form, err := def.selectForm(pred, args, nil)
+	cfg := &callCfg{v: def.sys.writerView(), trace: newTraceLog()}
+	it, err := def.callWith(cfg, pred, args, nil)
 	if err != nil {
 		return "", err
 	}
-	def.mu.Lock()
-	prog := def.progs[formKey(pred.Name, form)]
-	def.mu.Unlock()
-	me := newMatEval(prog, def.sys.external)
-	me.ev.trace = newTraceLog()
-	me.addSeed(args, nil)
-	me.run()
-	if me.err != nil {
-		return "", me.err
+	// Explain the completed evaluation's answers: run to the fixpoint
+	// first, so an aggregate selection has settled every answer it keeps.
+	scan := it.(*answerScan)
+	if scan.me.run(); scan.me.err != nil {
+		return "", scan.me.err
 	}
-	// Render a proof per matching answer.
-	pat, nvars := term.ResolveArgs(args, nil)
+	defer recoverEval(&err)
 	var b strings.Builder
-	var tr term.Trail
-	it := me.answers().Scan()
 	count := 0
 	// lint:allow scanloop — proof rendering over the completed evaluation's
 	// materialized answers; bounded by the budget that admitted them.
 	for {
-		f, ok := it.Next()
+		f, ok := scan.Next()
 		if !ok {
 			break
 		}
-		penv := term.NewEnv(nvars)
-		fenv := term.NewEnv(f.NVars)
-		m := tr.Mark()
-		matched := term.UnifyArgs(pat, penv, f.Args, fenv, &tr)
-		tr.Undo(m)
-		if !matched {
-			continue
-		}
 		count++
-		b.WriteString(me.ev.trace.Render(prog.QueryPred, f))
+		b.WriteString(cfg.trace.Render(scan.me.prog.QueryPred, f))
 		b.WriteByte('\n')
 	}
 	if count == 0 {

@@ -426,4 +426,3 @@ func rollbackTo(sys *coral.System, marks map[ast.PredKey]relation.Mark) {
 		}
 	})
 }
-

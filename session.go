@@ -79,9 +79,5 @@ func (se *Session) Query(ctx context.Context, q string) (*Answers, error) {
 	if err != nil {
 		return nil, err
 	}
-	ans := &Answers{Query: q, Vars: vars, Stats: stats}
-	for _, f := range facts {
-		ans.Tuples = append(ans.Tuples, Tuple(f.Args))
-	}
-	return ans, nil
+	return newAnswers(q, vars, facts, stats), nil
 }
