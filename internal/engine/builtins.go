@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
 
@@ -124,20 +125,25 @@ func absTerm(a term.Term) term.Term {
 
 // applyArith computes a op b with numeric promotion: Int op Int stays Int
 // (overflow promotes to Big), any Float makes Float, any Big makes Big.
+// Int op Int is tested first: it is nearly every operation a rule body
+// runs, in either binding store.
 func applyArith(op string, a, b term.Term) term.Term {
+	if ai, aok := a.(term.Int); aok {
+		if bi, bok := b.(term.Int); bok {
+			return applyInt(op, int64(ai), int64(bi))
+		}
+	}
 	if af, aok := a.(term.Float); aok {
 		return applyFloat(op, float64(af), toFloat(b))
 	}
 	if bf, bok := b.(term.Float); bok {
 		return applyFloat(op, toFloat(a), float64(bf))
 	}
-	if _, aok := a.(term.Big); aok {
-		return applyBig(op, toBig(a), toBig(b))
-	}
-	if _, bok := b.(term.Big); bok {
-		return applyBig(op, toBig(a), toBig(b))
-	}
-	ai, bi := int64(a.(term.Int)), int64(b.(term.Int))
+	return applyBig(op, toBig(a), toBig(b))
+}
+
+// applyInt computes ai op bi, promoting to Big on overflow.
+func applyInt(op string, ai, bi int64) term.Term {
 	switch op {
 	case "+":
 		s := ai + bi
@@ -169,7 +175,7 @@ func applyArith(op string, a, b term.Term) term.Term {
 		return term.Int(ai % bi)
 	}
 	// Overflow: promote to arbitrary precision (the paper's BigNum role).
-	return applyBig(op, toBig(a), toBig(b))
+	return applyBig(op, big.NewInt(ai), big.NewInt(bi))
 }
 
 func toFloat(t term.Term) float64 {
@@ -265,7 +271,7 @@ func evalBuiltin(op string, args []term.Term, env *term.Env, tr *term.Trail) boo
 		rArith := IsArithExpr(right, env)
 		switch {
 		case lArith && rArith:
-			return term.NumCompare(EvalArith(left, env), EvalArith(right, env)) == 0
+			return compareValues(EvalArith(left, env), EvalArith(right, env)) == 0
 		case rArith:
 			return term.Unify(left, env, EvalArith(right, env), nil, tr)
 		case lArith:
@@ -273,30 +279,12 @@ func evalBuiltin(op string, args []term.Term, env *term.Env, tr *term.Trail) boo
 		default:
 			return term.Unify(left, env, right, env, tr)
 		}
-	case "==", "!=":
+	case "==", "!=", "<", ">", ">=", "=<":
 		c, ok := compareGround(args[0], args[1], env)
 		if !ok {
 			throwf("engine: %s on non-ground operands", op)
 		}
-		if op == "==" {
-			return c == 0
-		}
-		return c != 0
-	case "<", ">", ">=", "=<":
-		c, ok := compareGround(args[0], args[1], env)
-		if !ok {
-			throwf("engine: %s on non-ground operands", op)
-		}
-		switch op {
-		case "<":
-			return c < 0
-		case ">":
-			return c > 0
-		case ">=":
-			return c >= 0
-		default:
-			return c <= 0
-		}
+		return compareOp(op, c)
 	}
 	throwf("engine: unknown builtin %s", op)
 	return false
@@ -310,10 +298,39 @@ func compareGround(a, b term.Term, env *term.Env) (int, bool) {
 	if !aok || !bok {
 		return 0, false
 	}
-	if term.IsNumeric(av) && term.IsNumeric(bv) {
-		return term.NumCompare(av, bv), true
+	return compareValues(av, bv), true
+}
+
+// compareValues orders two ground comparison values: numerically when both
+// are numbers, by the standard term order otherwise.
+func compareValues(a, b term.Term) int {
+	if ai, aok := a.(term.Int); aok {
+		if bi, bok := b.(term.Int); bok {
+			return cmp.Compare(ai, bi)
+		}
 	}
-	return term.Compare(av, bv), true
+	if term.IsNumeric(a) && term.IsNumeric(b) {
+		return term.NumCompare(a, b)
+	}
+	return term.Compare(a, b)
+}
+
+// compareOp applies comparison operator op to the three-way result c.
+func compareOp(op string, c int) bool {
+	switch op {
+	case "<":
+		return c < 0
+	case ">":
+		return c > 0
+	case ">=":
+		return c >= 0
+	case "=<":
+		return c <= 0
+	case "==":
+		return c == 0
+	default: // "!="
+		return c != 0
+	}
 }
 
 // operandValue resolves a comparison operand: arithmetic expressions are

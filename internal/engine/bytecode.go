@@ -28,9 +28,9 @@ import (
 //     license — no dereference, no occurs check, no binding to undo).
 //     Backtracking simply overwrites; stale registers are never read
 //     because only positions left of the cursor are consulted.
-//   - Arithmetic runs unboxed: an integer result parks in a shadow int64
-//     bank and is boxed lazily, so a candidate that fails a later
-//     comparison never allocates its intermediate values.
+//   - Registers hold term.Term values only, and the a.* ops and builtins
+//     compute through builtins.go (applyArith, absTerm, EvalArith,
+//     compareValues), so both stores share one arithmetic and one order.
 //
 // Control — scans, backtracking, counters, budget polls, duplicate skip,
 // emission — is the driver's, so it is the same whichever store binds.
@@ -42,7 +42,7 @@ import (
 // switch (exec) so tools/lint's opcheck analyzer can verify coverage:
 // arg.* ops match one candidate fact, b.* ops build terms (patterns, head
 // arguments, structural "=" values), a.* ops evaluate arithmetic on the
-// unboxed value stack.
+// same term stack.
 type bcOp uint8
 
 // Opcodes. Operand fields a, b of bcInstr are annotated per op.
@@ -53,11 +53,11 @@ const (
 	opArgCmp                 // fail unless candidate arg a equals register b (repeated occurrence)
 	opArgFunctor             // descend into candidate arg a, which must match shape fns[b]
 	opArgPop                 // ascend to the enclosing argument list
-	opBReg                   // push register a (boxing a parked integer)
+	opBReg                   // push register a
 	opBConst                 // push constant xr[a] (also raw variables of partial patterns)
 	opBFunctor               // pop fns[b].arity terms, push the built functor
-	opAPushReg               // push register a as an unboxed numeric value
-	opAPushConst             // push constant xr[a] as an unboxed numeric value
+	opAPushReg               // push register a, evaluating an arithmetic functor
+	opAPushConst             // push numeric constant xr[a]
 	opAAdd                   // pop two values, push their sum
 	opASub                   // pop two values, push their difference
 	opAMul                   // pop two values, push their product
@@ -138,64 +138,17 @@ type bcProg struct {
 	items []bcItem
 	head  []bcArg
 	xr    []term.Term // interned constants (and raw pattern variables)
-	cvals []bcVal     // xr pre-unboxed for opAPushConst (compile-time bcWrap)
 	fns   []bcFn
 	nregs int
 }
 
-// Unboxed value kinds.
-const (
-	valInt uint8 = iota
-	valTerm
-)
-
-// bcVal is one entry of the arithmetic value stack: an unboxed int64 or a
-// boxed term (floats, bignums, and anything the fast path defers).
-type bcVal struct {
-	t term.Term
-	i int64
-	k uint8
-}
-
-func (v bcVal) box() term.Term {
-	if v.k == valInt {
-		return term.Int(v.i)
-	}
-	return v.t
-}
-
-// bcWrap re-enters the unboxed representation after a generic arithmetic
-// call.
-func bcWrap(t term.Term) bcVal {
-	if i, ok := t.(term.Int); ok {
-		return bcVal{i: int64(i), k: valInt}
-	}
-	return bcVal{t: t, k: valTerm}
-}
-
-// Register kinds for the lazy-boxing shadow bank: rkTerm means only
-// regs[r] is valid, rkInt means only iregs[r] is (the boxed form is
-// stale until reg memoizes it), and rkBoth means the register was
-// stored from an already-boxed term.Int so both banks are valid — match
-// stores use it to give arithmetic and comparisons the unboxed fast path
-// without paying a box on term-reads.
-const (
-	rkTerm uint8 = iota
-	rkInt
-	rkBoth
-)
-
 // bcMachine is the register-file binding store, pooled on its evaluator:
-// the program being run, the register file with its unboxed integer shadow
-// bank, the three execution stacks, and per-position pattern buffers plus
-// scratch for head construction.
+// the program being run, the register file, the two execution stacks, and
+// per-position pattern buffers plus scratch for head construction.
 type bcMachine struct {
 	p     *bcProg
 	regs  []term.Term
-	iregs []int64
-	rkind []uint8
 	terms []term.Term
-	vals  []bcVal
 	stack [][]term.Term
 	// pats[i].buf is the pooled buffer position i's lookup pattern is filled
 	// into; pats[i].active is the pattern its open scan was served with (buf,
@@ -211,8 +164,6 @@ func (m *bcMachine) load(p *bcProg) {
 	m.p = p
 	if cap(m.regs) < p.nregs {
 		m.regs = make([]term.Term, p.nregs)
-		m.iregs = make([]int64, p.nregs)
-		m.rkind = make([]uint8, p.nregs)
 	}
 	for len(m.pats) < len(p.items) {
 		m.pats = append(m.pats, struct{ buf, active []term.Term }{})
@@ -223,24 +174,13 @@ func (m *bcMachine) load(p *bcProg) {
 	m.hd = m.hd[:len(p.head)]
 }
 
-// reg reads register r as a term, boxing a parked integer once and
-// memoizing the boxed form.
-func (m *bcMachine) reg(r int32) term.Term {
-	if m.rkind[r] == rkInt {
-		m.regs[r] = term.Int(m.iregs[r])
-		m.rkind[r] = rkTerm
-	}
-	return m.regs[r]
-}
-
 // exec runs one straight-line program. cur is the candidate argument list
 // for match programs, pat the activation pattern (both nil otherwise). It
 // reports false when a match op fails; build and arithmetic results are
-// left on the machine's stacks.
+// left on the term stack.
 func (m *bcMachine) exec(code []bcInstr, cur, pat []term.Term) bool {
 	p := m.p
 	m.terms = m.terms[:0]
-	m.vals = m.vals[:0]
 	m.stack = m.stack[:0]
 	for _, ins := range code {
 		// opcheck:dispatch
@@ -254,22 +194,9 @@ func (m *bcMachine) exec(code []bcInstr, cur, pat []term.Term) bool {
 				return false
 			}
 		case opArgStore:
-			v := cur[ins.a]
-			m.regs[ins.b] = v
-			if ci, ok := v.(term.Int); ok {
-				m.iregs[ins.b] = int64(ci)
-				m.rkind[ins.b] = rkBoth
-			} else {
-				m.rkind[ins.b] = rkTerm
-			}
+			m.regs[ins.b] = cur[ins.a]
 		case opArgCmp:
-			v := cur[ins.a]
-			if m.rkind[ins.b] != rkTerm {
-				ci, ok := v.(term.Int)
-				if !ok || int64(ci) != m.iregs[ins.b] {
-					return false
-				}
-			} else if !term.Equal(m.regs[ins.b], v) {
+			if !term.Equal(m.regs[ins.b], cur[ins.a]) {
 				return false
 			}
 		case opArgFunctor:
@@ -284,7 +211,7 @@ func (m *bcMachine) exec(code []bcInstr, cur, pat []term.Term) bool {
 			cur = m.stack[len(m.stack)-1]
 			m.stack = m.stack[:len(m.stack)-1]
 		case opBReg:
-			m.terms = append(m.terms, m.reg(ins.a))
+			m.terms = append(m.terms, m.regs[ins.a])
 		case opBConst:
 			m.terms = append(m.terms, p.xr[ins.a])
 		case opBFunctor:
@@ -294,41 +221,28 @@ func (m *bcMachine) exec(code []bcInstr, cur, pat []term.Term) bool {
 			m.terms = m.terms[:len(m.terms)-fn.arity]
 			m.terms = append(m.terms, term.NewFunctor(fn.sym, args...))
 		case opAPushReg:
-			m.vals = append(m.vals, m.numVal(ins.a))
+			// A functor value passed the runtime classification as an
+			// arithmetic expression; numbers push as they are.
+			v := m.regs[ins.a]
+			if f, ok := v.(*term.Functor); ok {
+				v = EvalArith(f, nil)
+			}
+			m.terms = append(m.terms, v)
 		case opAPushConst:
-			m.vals = append(m.vals, p.cvals[ins.a])
+			m.terms = append(m.terms, p.xr[ins.a])
 		case opAAdd, opASub, opAMul, opADiv, opAMod:
-			b := m.vals[len(m.vals)-1]
-			a := m.vals[len(m.vals)-2]
-			m.vals = m.vals[:len(m.vals)-2]
-			m.vals = append(m.vals, bcArithVal(ins.op, a, b))
+			n := len(m.terms)
+			m.terms[n-2] = applyArith(bcOpSym(ins.op), m.terms[n-2], m.terms[n-1])
+			m.terms = m.terms[:n-1]
 		case opAAbs:
-			m.vals[len(m.vals)-1] = bcAbsVal(m.vals[len(m.vals)-1])
+			m.terms[len(m.terms)-1] = absTerm(m.terms[len(m.terms)-1])
 		}
 	}
 	return true
 }
 
-// numVal reads register r for arithmetic: parked integers stay unboxed,
-// numeric constants unbox, and a functor value — the runtime
-// classification admitted it as an arithmetic expression — is evaluated
-// exactly as EvalArith would.
-func (m *bcMachine) numVal(r int32) bcVal {
-	if m.rkind[r] != rkTerm {
-		return bcVal{i: m.iregs[r], k: valInt}
-	}
-	switch v := m.regs[r].(type) {
-	case term.Int:
-		return bcVal{i: int64(v), k: valInt}
-	case *term.Functor:
-		return bcWrap(EvalArith(v, nil))
-	default:
-		return bcVal{t: m.regs[r], k: valTerm}
-	}
-}
-
-// bcOpSym maps arithmetic opcodes back to their source operators for the
-// generic promotion path (applyArith) and the disassembler.
+// bcOpSym maps arithmetic opcodes back to their source operators for
+// applyArith and the disassembler.
 func bcOpSym(op bcOp) string {
 	switch op {
 	case opAAdd:
@@ -346,58 +260,8 @@ func bcOpSym(op bcOp) string {
 	}
 }
 
-// bcArithVal computes a op b. Two unboxed integers take the inline path —
-// the same overflow checks applyArith performs, falling through to its
-// Big promotion only when they trip — and every other combination boxes
-// into applyArith, so results and error messages are identical to the
-// interpreter's.
-func bcArithVal(op bcOp, a, b bcVal) bcVal {
-	if a.k == valInt && b.k == valInt {
-		ai, bi := a.i, b.i
-		switch op {
-		case opAAdd:
-			if s := ai + bi; (s > ai) == (bi > 0) {
-				return bcVal{i: s, k: valInt}
-			}
-		case opASub:
-			if s := ai - bi; (s < ai) == (bi > 0) {
-				return bcVal{i: s, k: valInt}
-			}
-		case opAMul:
-			if ai == 0 || bi == 0 {
-				return bcVal{k: valInt}
-			}
-			if s := ai * bi; s/bi == ai {
-				return bcVal{i: s, k: valInt}
-			}
-		case opADiv:
-			if bi == 0 {
-				throwf("engine: division by zero")
-			}
-			return bcVal{i: ai / bi, k: valInt}
-		case opAMod:
-			if bi == 0 {
-				throwf("engine: mod by zero")
-			}
-			return bcVal{i: ai % bi, k: valInt}
-		}
-	}
-	return bcWrap(applyArith(bcOpSym(op), a.box(), b.box()))
-}
-
-// bcAbsVal mirrors absTerm, keeping unboxed integers unboxed.
-func bcAbsVal(a bcVal) bcVal {
-	if a.k == valInt {
-		if a.i < 0 {
-			a.i = -a.i
-		}
-		return a
-	}
-	return bcWrap(absTerm(a.t))
-}
-
-// build runs a build program and returns the constructed term.
-func (m *bcMachine) build(code []bcInstr) term.Term {
+// value runs a build or arithmetic program and returns the term it leaves.
+func (m *bcMachine) value(code []bcInstr) term.Term {
 	m.exec(code, nil, nil)
 	return m.terms[len(m.terms)-1]
 }
@@ -412,9 +276,6 @@ func (m *bcMachine) classify(o *bcOperand) bool {
 		return false
 	}
 	for _, r := range o.leaves {
-		if m.rkind[r] != rkTerm {
-			continue
-		}
 		switch v := m.regs[r].(type) {
 		case term.Int, term.Float, term.Big:
 		case *term.Functor:
@@ -428,21 +289,15 @@ func (m *bcMachine) classify(o *bcOperand) bool {
 	return true
 }
 
-// evalArith runs an operand's arithmetic program and pops the result.
-func (m *bcMachine) evalArith(o *bcOperand) bcVal {
-	m.exec(o.arith, nil, nil)
-	return m.vals[len(m.vals)-1]
-}
-
-// operandVal resolves one comparison operand, mirroring operandValue:
-// runtime-arithmetic sides evaluate, others resolve structurally
+// operand resolves one builtin side, mirroring operandValue: a
+// runtime-arithmetic side evaluates, any other builds structurally
 // (eligibility guarantees groundness, so the non-ground throw cannot
-// trigger here).
-func (m *bcMachine) operandVal(o *bcOperand) bcVal {
+// trigger here). arith reports which.
+func (m *bcMachine) operand(o *bcOperand) (v term.Term, arith bool) {
 	if m.classify(o) {
-		return m.evalArith(o)
+		return m.value(o.arith), true
 	}
-	return bcVal{t: m.build(o.build), k: valTerm}
+	return m.value(o.build), false
 }
 
 // builtin executes the compiled builtin at position i, byte-compatible with
@@ -454,72 +309,19 @@ func (m *bcMachine) builtin(i int) bool {
 		// One free variable: arithmetic sides evaluate (C1 = C + W
 		// assigns), anything else binds the structurally built value —
 		// CORAL does no type checking, so X = a + 1 stores +(a, 1).
-		if m.classify(&bi.right) {
-			v := m.evalArith(&bi.right)
-			if v.k == valInt {
-				m.iregs[bi.dst] = v.i
-				m.rkind[bi.dst] = rkInt
-			} else {
-				m.regs[bi.dst] = v.t
-				m.rkind[bi.dst] = rkTerm
-			}
-		} else {
-			m.regs[bi.dst] = m.build(bi.right.build)
-			m.rkind[bi.dst] = rkTerm
-		}
+		m.regs[bi.dst], _ = m.operand(&bi.right)
 		return true
 	case bcbTest:
-		la, ra := m.classify(&bi.left), m.classify(&bi.right)
-		switch {
-		case la && ra:
-			av := m.evalArith(&bi.left)
-			bv := m.evalArith(&bi.right)
-			if av.k == valInt && bv.k == valInt {
-				return av.i == bv.i
-			}
-			return term.NumCompare(av.box(), bv.box()) == 0
-		case ra:
-			l := m.build(bi.left.build)
-			return term.Equal(l, m.evalArith(&bi.right).box())
-		case la:
-			av := m.evalArith(&bi.left)
-			return term.Equal(av.box(), m.build(bi.right.build))
-		default:
-			return term.Equal(m.build(bi.left.build), m.build(bi.right.build))
+		a, la := m.operand(&bi.left)
+		b, ra := m.operand(&bi.right)
+		if la && ra {
+			return compareValues(a, b) == 0
 		}
+		return term.Equal(a, b)
 	default: // bcbCompare
-		av := m.operandVal(&bi.left)
-		bv := m.operandVal(&bi.right)
-		var c int
-		if av.k == valInt && bv.k == valInt {
-			switch {
-			case av.i < bv.i:
-				c = -1
-			case av.i > bv.i:
-				c = 1
-			}
-		} else {
-			at, bt := av.box(), bv.box()
-			if term.IsNumeric(at) && term.IsNumeric(bt) {
-				c = term.NumCompare(at, bt)
-			} else {
-				c = term.Compare(at, bt)
-			}
-		}
-		switch bi.op {
-		case "<":
-			return c < 0
-		case ">":
-			return c > 0
-		case ">=":
-			return c >= 0
-		case "=<":
-			return c <= 0
-		case "==":
-			return c == 0
-		default: // "!="
-			return c != 0
-		}
+		a, _ := m.operand(&bi.left)
+		b, _ := m.operand(&bi.right)
+		return compareOp(bi.op, compareValues(a, b))
 	}
 }
 
@@ -537,9 +339,9 @@ func (m *bcMachine) pattern(i int) ([]term.Term, *term.Env) {
 		m.pats[i].buf = pat
 		for k := range ops {
 			if po := &ops[k]; po.reg >= 0 {
-				pat[po.pos] = m.reg(po.reg)
+				pat[po.pos] = m.regs[po.reg]
 			} else {
-				pat[po.pos] = m.build(po.build)
+				pat[po.pos] = m.value(po.build)
 			}
 		}
 	}
@@ -556,11 +358,11 @@ func (m *bcMachine) head() ([]term.Term, *term.Env) {
 		h := &m.p.head[hi]
 		switch {
 		case h.reg >= 0:
-			m.hd[hi] = m.reg(h.reg)
+			m.hd[hi] = m.regs[h.reg]
 		case h.raw != nil:
 			m.hd[hi] = h.raw
 		default:
-			m.hd[hi] = m.build(h.build)
+			m.hd[hi] = m.value(h.build)
 		}
 	}
 	return m.hd, nil

@@ -6,14 +6,16 @@ import (
 )
 
 // bcEdgeSrc drives every corner of the register machine's arithmetic and
-// comparison surface from source: overflow promotion out of the unboxed
-// fast path (+, -, *), division and mod, abs on negative integers and on
-// floats, float arithmetic through the generic applyArith path, ordering
-// comparisons over integers, floats and atoms, equality tests with
-// arithmetic on either, both, and neither side, functor match programs
-// with repeated variables, and a negation probe. One export, tagged
-// tuples, no magic rewriting — so every rule compiles and runs on the
-// machine.
+// comparison surface from source: overflow promotion to Big (+, -, *),
+// division and mod, abs on negative integers and on floats, float
+// arithmetic, ordering comparisons over integers, floats and atoms,
+// Int-vs-Float == and =, equality tests with arithmetic on either, both,
+// and neither side, functor match programs with repeated variables, and a
+// negation probe. The a* rules carry arithmetic results of 256 or more and
+// negative ones (outside Go's preallocated small integers) into a later
+// repeated-variable match, pattern fill, comparison and head. One export,
+// tagged tuples, no magic rewriting — so every rule compiles and runs on
+// the machine.
 const bcEdgeSrc = `
 big(4611686018427387904).
 seven(7).
@@ -21,6 +23,9 @@ fl(2.5).
 n(1). n(2). n(3).
 at(a). at(c).
 sf(f(1), f(1)). sf(f(2), f(3)).
+v(300). v(-7). v(-8).
+d(300, 300). d(-7, -7). d(-8, 3).
+g(f(300), a). g(f(-7), b).
 module bcedge.
 export r(ff).
 @rewrite none.
@@ -48,6 +53,16 @@ r(seq, A) :- at(A), A = A.
 r(fun, X) :- sf(f(X), f(X)).
 r(cns, X) :- sf(f(1), f(X)).
 r(negu, X) :- n(X), not sf(f(X), f(X)).
+r(ifeq, N) :- n(N), N == 2.0.
+r(ifas, N) :- n(N), N = 2.0.
+r(acmp, X) :- n(N), X = N * 100, v(X).
+r(acmn, X) :- n(N), X = 0 - N - 5, d(X, X).
+r(apat, Y) :- n(N), X = N * 100, g(f(X), Y).
+r(apan, Y) :- n(N), X = 0 - N - 5, g(f(X), Y).
+r(agt, N) :- n(N), X = N * 200, X > 300.
+r(alt, N) :- n(N), X = 0 - N * 200, X < -300.
+r(ahd, X) :- n(N), X = N * 1000 - 2500.
+r(ahf, f(X, Y)) :- n(N), X = N * 300, Y = 0 - X.
 end_module.
 `
 
@@ -77,12 +92,24 @@ func TestBytecodeArithEdgeCases(t *testing.T) {
 		"(seq, a)", // structural = on both sides
 		"(fun, 1)", // functor descent with repeated variable
 		"(negu, 3)",
+		"(ifeq, 2)", // Int == Float compares numerically
+		"(ifas, 2)", // Int = Float tests numerically
+		"(acmp, 300)",
+		"(acmn, -7)",
+		"(apat, a)",
+		"(apan, b)",
+		"(agt, 2)",
+		"(alt, 3)",
+		"(ahd, -1500)",
+		"(ahd, 500)",
+		"(ahf, f(900, -900))",
 	} {
 		if !containsString(on, want) {
 			t.Errorf("missing %s in %v", want, on)
 		}
 	}
-	for _, absent := range []string{"(tra", "(tla", "(fun, 2)", "(negu, 1)"} {
+	for _, absent := range []string{"(tra", "(tla", "(fun, 2)", "(negu, 1)",
+		"(ifeq, 1)", "(ifas, 3)", "(acmn, -8)", "(agt, 1)", "(alt, 1)"} {
 		for _, got := range on {
 			if strings.HasPrefix(got, absent) {
 				t.Errorf("unexpected answer %s", got)

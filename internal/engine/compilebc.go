@@ -81,12 +81,6 @@ func compileBC(c *Compiled) (*bcProg, string) {
 		}
 		b.p.head = append(b.p.head, ha)
 	}
-	// Pre-unbox the constant table once: opAPushConst then pushes a ready
-	// bcVal instead of re-wrapping the same term on every execution.
-	b.p.cvals = make([]bcVal, len(b.p.xr))
-	for i, t := range b.p.xr {
-		b.p.cvals[i] = bcWrap(t)
-	}
 	return b.p, ""
 }
 

@@ -302,7 +302,7 @@ end_module.
 		// The register machine's fragment boundaries (the FuzzEval seeds the
 		// bytecode machine arrived with): repeated variables and a
 		// structural "=" handed back to the interpreter, negation over a
-		// partially built pattern, overflow out of the unboxed fast path.
+		// partially built pattern, overflow out of the Int fast path.
 		{"bc-structural-eq", "e(f(a), f(a)). e(f(a), g(b)).\nmodule s.\nexport q(f).\nq(X) :- e(W, W), W = f(X).\nend_module.\n", "q(X)"},
 		{"bc-negation-pattern", "n(a). n(b). e(a, b).\nmodule ng.\nexport r(f).\nr(X) :- n(X), not e(X, X).\nend_module.\n", "r(X)"},
 		{"bc-overflow", "big(4611686018427387904).\nmodule o.\nexport d(f).\nd(X) :- big(B), X = B * 3.\nend_module.\n", "d(X)"},

@@ -321,9 +321,9 @@ func TestPipelinedStreamsGolden(t *testing.T) {
 
 // TestUndefinedExportRejected: a module exporting a predicate it defines no
 // rules for is rejected at install with one error, whether it is evaluated
-// materialized or pipelined.
+// materialized, without rewriting, or pipelined.
 func TestUndefinedExportRejected(t *testing.T) {
-	for _, ann := range []string{"", "@pipelining.\n"} {
+	for _, ann := range []string{"", "@rewrite none.\n", "@pipelining.\n"} {
 		u, err := parser.Parse("module m.\nexport q(f).\n" + ann + "p(1).\nend_module.\n")
 		if err != nil {
 			t.Fatal(err)

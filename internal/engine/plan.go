@@ -28,10 +28,14 @@ import (
 // operands are not bound at its written position (the written order throws
 // or depends on call bindings), or a "=" whose arithmetic-shaped side is
 // unbound as written (it unifies symbolically; evaluating it after its
-// variables are bound would change answers). Pure structural "=" commutes
-// with the join and is scheduled as early as possible. Semi-naive scan
-// ranges are assigned by written occurrence (CItem.OrigPos), so any
-// permutation reads exactly the ranges the written rule would.
+// variables are bound would change answers). A "=" both of whose sides may
+// be numbers is scheduled only where each side is bound exactly when it is
+// bound as written: both bound, it compares numerically (2 = 2.0 holds);
+// one free, it binds (X = 2.0 stores a Float that a later n(2) does not
+// match). Pure structural "=" commutes with the join and is scheduled as
+// early as possible. Semi-naive scan ranges are assigned by written
+// occurrence (CItem.OrigPos), so any permutation reads exactly the ranges
+// the written rule would.
 //
 // An evaluation caches its choice per (rule, delta position) and re-fits
 // when the cardinality of any body relation has drifted past a threshold
@@ -248,9 +252,21 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 	// through non-ground facts — is the semantics, and reordering could
 	// change it.
 	bound := make(map[int]bool)
+	var modes []uint8 // eqMode as written, per numeric "="; nil when none
 	for i := range c.Body {
 		if !slotsSubset(reqs[i], bound) {
 			return c
+		}
+		if it := &c.Body[i]; numericEq(it) {
+			if modes == nil {
+				modes = make([]uint8, n)
+			}
+			modes[i] = eqMode(it, bound)
+			for _, side := range it.Args {
+				if coveredBy(side, bound) {
+					addSlots(side, reqs[i])
+				}
+			}
 		}
 		bindSlots(&c.Body[i], bound)
 	}
@@ -258,7 +274,11 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 	scheduled := make([]bool, n)
 	order := make([]int, 0, n)
 	bound = make(map[int]bool)
+	modeChanged := false
 	schedule := func(i int) {
+		if modes != nil && numericEq(&c.Body[i]) && eqMode(&c.Body[i], bound) != modes[i] {
+			modeChanged = true // a side bound earlier than written
+		}
 		scheduled[i] = true
 		order = append(order, i)
 		bindSlots(&c.Body[i], bound)
@@ -309,10 +329,11 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 		schedule(best)
 		flush()
 	}
-	if len(order) < n {
-		// Some requirement never became satisfiable: keep the written
-		// order (which passed the same requirements check above only via
-		// call-order effects the greedy pass did not reproduce).
+	if len(order) < n || modeChanged {
+		// Some requirement never became satisfiable, or a numeric "=" would
+		// run in another mode: keep the written order (which passed the
+		// same requirements check above only via call-order effects the
+		// greedy pass did not reproduce).
 		return c
 	}
 	identity := true
@@ -429,6 +450,36 @@ func bindSlots(it *CItem, bound map[int]bool) {
 func isArithTerm(t term.Term) bool {
 	f, ok := t.(*term.Functor)
 	return ok && arithOps[f.Sym] && len(f.Args) >= 1 && len(f.Args) <= 2
+}
+
+// numericEq reports whether it is a "=" both of whose sides may evaluate
+// to numbers at run time — a variable, a number, or an arithmetic shape —
+// so that its outcome depends on which sides are bound.
+func numericEq(it *CItem) bool {
+	if it.Kind != ItemBuiltin || it.Op != "=" || len(it.Args) != 2 {
+		return false
+	}
+	for _, side := range it.Args {
+		switch side.(type) {
+		case *term.Var, term.Int, term.Float, term.Big:
+		default:
+			if !isArithTerm(side) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// eqMode records which sides of a "=" are bound: bit 0 left, bit 1 right.
+func eqMode(it *CItem, bound map[int]bool) uint8 {
+	var m uint8
+	for k, side := range it.Args {
+		if coveredBy(side, bound) {
+			m |= 1 << k
+		}
+	}
+	return m
 }
 
 // cmpBuiltins are the operators requiring ground operands at evaluation

@@ -159,6 +159,30 @@ end_module.
 	}
 }
 
+// TestPlannerKeepsNumericEqualsMode: as written, X = N + 0 binds X to an
+// Int before one(X) is scanned, so one(2.0) never matches; scanning the
+// one-row one(X) first — the greedy choice — would turn the "=" into a
+// numeric test that 2.0 = 2 passes. The planner must keep the written
+// order, and the engine must agree with the written-order reference.
+func TestPlannerKeepsNumericEqualsMode(t *testing.T) {
+	src := crossProductFacts(40) + `
+one(2.0).
+n(1). n(2). n(3). n(4). n(5). n(6). n(7). n(8).
+module m.
+export q(f).
+@rewrite none.
+q(X) :- n(N), X = N + 0, one(X).
+end_module.
+`
+	c, planned := plannedRule(t, src, "q/f", "q", -1)
+	if planned != c {
+		t.Error("planner turned a binding '=' into a numeric test")
+	}
+	if got := diffGoal(t, src, "q(X)"); len(got) != 0 {
+		t.Errorf("answers %v, want none", got)
+	}
+}
+
 // TestPlannerDeltaSeedsPlan: for a recursive rule version the delta
 // literal must be scheduled first — its [Last, Now) range is the smallest
 // scan.

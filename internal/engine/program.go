@@ -153,15 +153,17 @@ func buildProgram(mod *ast.Module, query ast.PredKey, adorn string, mask []bool,
 	var rules []*ast.Rule
 	switch rewriting {
 	case "none":
+		// Reach rejects what the magic case rejects (a query the module does
+		// not define, a wrong adornment length); its reachable set prunes
+		// rules before fixpoint setup when flow optimization is on.
+		rb, err := flow.Reach(mod.Rules, query, adorn,
+			rewrite.ReachOpts(rewrite.AdornOptions{NegFree: !ann.OrderedSearch}))
+		if err != nil {
+			return nil, err
+		}
 		rules = mod.Rules
 		if flowOpt {
-			// Prune rules unreachable from the query form before fixpoint
-			// setup. Reach errors (query not defined by the module, wrong
-			// adornment length) keep the old tolerance: evaluate everything.
-			if rb, err := flow.Reach(mod.Rules, query, adorn,
-				rewrite.ReachOpts(rewrite.AdornOptions{NegFree: !ann.OrderedSearch})); err == nil {
-				rules = pruneRules(mod.Rules, rb.Preds())
-			}
+			rules = pruneRules(mod.Rules, rb.Preds())
 		}
 		if ann.Reorder {
 			rules = rewrite.ReorderRules(rules)
@@ -255,7 +257,7 @@ func buildProgram(mod *ast.Module, query ast.PredKey, adorn string, mask []bool,
 			p.MagicPreds[ast.PredKey{Name: name, Arity: arityOf(rules, name)}] = true
 		}
 		for guarded, done := range rw.DonePreds {
-			gk := ast.PredKey{Name: guarded, Arity: p.OrigName_arity(guarded, rules)}
+			gk := ast.PredKey{Name: guarded, Arity: arityOf(rules, guarded)}
 			dk := ast.PredKey{Name: done, Arity: arityOf(rules, done)}
 			p.DonePreds[gk] = dk
 		}
@@ -474,12 +476,8 @@ func pruneRules(rules []*ast.Rule, reach map[ast.PredKey]bool) []*ast.Rule {
 	return out
 }
 
-// OrigName_arity finds the arity of a predicate name in the rule set (for
-// done-pred bookkeeping, where only the name is known).
-func (p *Program) OrigName_arity(name string, rules []*ast.Rule) int {
-	return arityOf(rules, name)
-}
-
+// arityOf finds the arity of a predicate name in the rule set (for magic
+// and done-pred bookkeeping, where only the name is known).
 func arityOf(rules []*ast.Rule, name string) int {
 	for _, r := range rules {
 		if r.Head.Pred == name {

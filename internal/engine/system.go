@@ -33,11 +33,6 @@ type System struct {
 	base    map[ast.PredKey]relation.Relation // guarded_by(mu)
 	exports map[ast.PredKey]*ModuleDef        // guarded_by(mu)
 	modules map[string]*ModuleDef             // guarded_by(mu)
-	// AutoDefineBase controls whether referencing an unknown predicate
-	// creates an empty base relation (convenient interactively) or errors.
-	// unguarded: configuration, set before the system serves concurrent
-	// callers (the epoch fence in serve keeps writers out of evaluations).
-	AutoDefineBase bool
 	// Parallelism bounds the worker pool of each BSN fixpoint round
 	// (parallel.go) — a resource bound, and the only evaluation option:
 	// every other choice of path is made by configureEval from what the
@@ -64,10 +59,9 @@ type System struct {
 // NewSystem creates an empty system.
 func NewSystem() *System {
 	return &System{
-		base:           make(map[ast.PredKey]relation.Relation),
-		exports:        make(map[ast.PredKey]*ModuleDef),
-		modules:        make(map[string]*ModuleDef),
-		AutoDefineBase: true,
+		base:    make(map[ast.PredKey]relation.Relation),
+		exports: make(map[ast.PredKey]*ModuleDef),
+		modules: make(map[string]*ModuleDef),
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"coral/internal/ast"
@@ -146,7 +145,7 @@ func (cfg *callCfg) external(key ast.PredKey) (Source, error) {
 	case isBase: // served below
 	case isExport:
 		return &callSource{def: def, pred: key, cfg: callCfg{v: cfg.v, acc: cfg.acc}}, nil
-	case sys.AutoDefineBase:
+	default:
 		// BaseRelation retakes the lock in write mode; two concurrent
 		// auto-defines of the same predicate converge on one relation.
 		hr, err := sys.BaseRelation(key.Name, key.Arity)
@@ -154,8 +153,6 @@ func (cfg *callCfg) external(key ast.PredKey) (Source, error) {
 			return nil, err
 		}
 		r = hr
-	default:
-		return nil, fmt.Errorf("engine: unknown predicate %s", key)
 	}
 	if hr, ok := r.(*relation.HashRelation); ok && cfg.v.snap != nil {
 		return cfg.v.snap.prefixFor(key, hr), nil

@@ -25,7 +25,7 @@ var EvalFuzzSeeds = []string{
 	"e(f(a), f(a)). e(f(a), g(b)).\nmodule s.\nexport q(f).\nq(X) :- e(W, W), W = f(X).\nend_module.\n?- q(X).",
 	// Negation with a partially built pattern argument.
 	"n(a). n(b). e(a, b).\nmodule ng.\nexport r(f).\nr(X) :- n(X), not e(X, X).\nend_module.\n?- r(X).",
-	// Integer overflow promotion inside the unboxed fast path.
+	// Integer overflow promotion out of the Int fast path.
 	"big(4611686018427387904).\nmodule o.\nexport d(f).\nd(X) :- big(B), X = B * 3.\nend_module.\n?- d(X).",
 	// Division by zero thrown from compiled arithmetic.
 	"z(0).\nmodule dz.\nexport w(f).\nw(X) :- z(Z), X = 1 / Z.\nend_module.\n?- w(X).",
